@@ -122,58 +122,12 @@ class NashResult:
     utility: float
 
 
-# Per-graph tables for independence-number queries: closed-neighbourhood
-# bitmasks and a memo of subset independence numbers.
-_graph_tables: dict[ContentionGraph, tuple[tuple[int, ...], dict[int, int]]] = {}
-
-
-def _tables(graph: ContentionGraph) -> tuple[tuple[int, ...], dict[int, int]]:
-    cached = _graph_tables.get(graph)
-    if cached is None:
-        idx = {v: k for k, v in enumerate(graph.vertices)}
-        closed = []
-        for v in graph.vertices:
-            mask = 1 << idx[v]
-            for u in graph.adjacency[v]:
-                mask |= 1 << idx[u]
-            closed.append(mask)
-        cached = (tuple(closed), {0: 0})
-        _graph_tables[graph] = cached
-    return cached
-
-
 def independence_number(graph: ContentionGraph,
                         subset: Sequence[int] | None = None) -> int:
-    """Size of a largest independent set within ``subset`` (default: all).
-
-    Memoised branch-and-reduce on bitmasks: either the lowest remaining
-    vertex is excluded, or it is taken and its closed neighbourhood drops
-    out.  The memo is shared per graph across calls.
-    """
-    closed, memo = _tables(graph)
-    idx = {v: k for k, v in enumerate(graph.vertices)}
-    if subset is None:
-        mask = (1 << len(graph.vertices)) - 1
-    else:
-        mask = 0
-        for v in subset:
-            if v not in idx:
-                raise ConfigError(f"vertex {v} not in graph")
-            mask |= 1 << idx[v]
-    return _alpha(mask, closed, memo)
-
-
-def _alpha(mask: int, closed: tuple[int, ...], memo: dict[int, int]) -> int:
-    known = memo.get(mask)
-    if known is not None:
-        return known
-    low = mask & -mask
-    k = low.bit_length() - 1
-    skip = _alpha(mask ^ low, closed, memo)
-    take = 1 + _alpha(mask & ~closed[k], closed, memo)
-    best = max(skip, take)
-    memo[mask] = best
-    return best
+    """Size of a largest independent set within ``subset`` (default: all)."""
+    if subset is not None:
+        graph = induced_subgraph(graph, subset)
+    return graph.independence_number((1 << len(graph.vertices)) - 1)
 
 
 def utility_theta_bar(physical: ContentionGraph,
@@ -188,12 +142,8 @@ def utility_theta_bar(physical: ContentionGraph,
     channels = tuple(getattr(assignment, "channels", assignment))
     if len(channels) != len(physical.vertices):
         raise ConfigError("assignment must cover every cell")
-    closed, memo = _tables(physical)
-    idx = {v: k for k, v in enumerate(physical.vertices)}
-    masks: dict[int, int] = {}
-    for v, ch in zip(physical.vertices, channels):
-        masks[ch] = masks.get(ch, 0) | (1 << idx[v])
-    total = sum(_alpha(m, closed, memo) for m in masks.values())
+    total = sum(map(physical.independence_number,
+                    physical.label_masks(channels)))
     return total / len(physical.vertices)
 
 
@@ -399,13 +349,10 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     best_channels: tuple[int, ...] | None = None
     best_u = -math.inf
     if utility is None:
-        closed, memo = _tables(physical)
-        bits = [1 << k for k in range(n)]
+        alpha = physical.independence_number
+        split = physical.label_masks
         for cand in itertools.product(range(1, n_channels + 1), repeat=n):
-            masks: dict[int, int] = {}
-            for k, ch in enumerate(cand):
-                masks[ch] = masks.get(ch, 0) | bits[k]
-            u = sum(_alpha(m, closed, memo) for m in masks.values()) / n
+            u = sum(map(alpha, split(cand))) / n
             if u > best_u:
                 best_u = u
                 best_channels = cand

@@ -285,8 +285,8 @@ def _parse_factors(text: str) -> list[float]:
         factors = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad factor list {text!r}: {exc}") from exc
-    if not factors or any(f <= 0 for f in factors):
-        raise ConfigError("factors must be positive numbers")
+    if not factors or not all(0 < f < math.inf for f in factors):
+        raise ConfigError("factors must be positive finite numbers")
     return factors
 
 
@@ -296,15 +296,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     gamma_cols = tuple(f"gamma_{i}" for i in range(1, n + 1))
     x_cols = tuple(f"x_{i}" for i in range(1, n + 1))
     rows = []
+    problem = _problem(parsed, args)
     if args.sweep == "payload":
         sweep_col = "payload_bytes"
         for nbytes in _parse_payload_range(args.payload_bytes):
-            mac = dataclasses.replace(_mac_from_args(parsed, args),
-                                      payload_bits=8 * nbytes)
-            problem = multicell.MultiCellProblem(
-                graph=parsed.graph, cells=parsed.cells, mac=mac,
-                traffic_mode=_traffic_mode(args))
-            sol = multicell.solve_fixed_point(problem)
+            mac = dataclasses.replace(problem.mac, payload_bits=8 * nbytes)
+            sol = multicell.solve_fixed_point(
+                dataclasses.replace(problem, mac=mac))
             row = {sweep_col: nbytes}
             row.update(zip(gamma_cols, sol.gamma))
             row.update(zip(x_cols, sol.x))
@@ -313,16 +311,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Scale the solved occupation ratios toward the heavy-load limit;
         # only the stationary law is recomputed, the attempt probabilities
         # stay at their solved values.
-        problem = _problem(parsed, args)
         sol = multicell.solve_fixed_point(problem)
         cells_eff, _ = multicell.effective_configuration(problem)
         sweep_col = "rho_factor"
         for factor in _parse_factors(args.rho_factors):
             rho = tuple(r * factor for r in sol.rho)
-            pi = multicell.stationary_distribution(sol.family, rho)
-            gamma, _ = multicell.collision_probabilities(
-                sol.family, pi, sol.beta, cells_eff)
-            x = multicell.unblocked_fractions_direct(sol.family, pi)
+            _, gamma, _, x = multicell.evaluate_law(
+                sol.family, sol.beta, rho, cells_eff)
             row = {sweep_col: factor}
             row.update(zip(gamma_cols, gamma))
             row.update(zip(x_cols, x))

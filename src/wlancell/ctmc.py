@@ -22,13 +22,15 @@ bit-identical for a fixed seed and configuration.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .topology import ContentionGraph
+from .topology import ContentionGraph, bits
 
 _DISTRIBUTIONS = ("exponential", "deterministic")
 
@@ -95,12 +97,7 @@ def simulate(graph: ContentionGraph, lam: Sequence[float],
     if any(m <= 0 for m in mu):
         raise ConfigError("release rates must be positive")
 
-    adj = graph.adjacency
-    idx = {v: k for k, v in enumerate(verts)}
-    nbr_mask = [0] * n
-    for v in verts:
-        for u in adj[v]:
-            nbr_mask[idx[v]] |= 1 << idx[u]
+    nbr_mask = graph.nbr_masks
     full_mask = (1 << n) - 1
 
     root = np.random.SeedSequence(cfg.seed)
@@ -117,30 +114,12 @@ def simulate(graph: ContentionGraph, lam: Sequence[float],
         if cached is not None:
             return cached
         blocked = 0
-        m = state
-        while m:
-            low = m & -m
-            blocked |= nbr_mask[low.bit_length() - 1]
-            m ^= low
-        free_mask = full_mask & ~state & ~blocked
-        free_bits = []
-        cum = []
-        total = 0.0
-        m = free_mask
-        while m:
-            low = m & -m
-            k = low.bit_length() - 1
-            total += lam[k]
-            free_bits.append(k)
-            cum.append(total)
-            m ^= low
-        unblocked_bits = []
-        m = full_mask & ~blocked
-        while m:
-            low = m & -m
-            unblocked_bits.append(low.bit_length() - 1)
-            m ^= low
-        cached = (total, free_bits, cum, unblocked_bits)
+        for k in bits(state):
+            blocked |= nbr_mask[k]
+        free_bits = list(bits(full_mask & ~state & ~blocked))
+        cum = list(accumulate(lam[k] for k in free_bits))
+        total = cum[-1] if cum else 0.0
+        cached = (total, free_bits, cum, list(bits(full_mask & ~blocked)))
         state_info[state] = cached
         return cached
 
@@ -180,11 +159,7 @@ def simulate(graph: ContentionGraph, lam: Sequence[float],
         events += 1
         if t_act <= t_dep:
             target = race.random() * act_rate
-            k = free_bits[-1]
-            for bit, c in zip(free_bits, cum):
-                if target < c:
-                    k = bit
-                    break
+            k = free_bits[min(bisect_right(cum, target), len(cum) - 1)]
             state |= 1 << k
             mean = 1.0 / mu[k]
             dur = mean if deterministic else cell_rng[k].exponential(mean)
@@ -194,9 +169,8 @@ def simulate(graph: ContentionGraph, lam: Sequence[float],
             del departures[k_dep]
 
     span = cfg.horizon - warmup_end
-    pi_hat = {
-        frozenset(verts[k] for k in range(n) if mask >> k & 1): w / span
-        for mask, w in occupancy.items()}
+    pi_hat = {frozenset(verts[k] for k in bits(mask)): w / span
+              for mask, w in occupancy.items()}
     x_hat = tuple(w / span for w in x_time)
     return SimEstimate(pi_hat=pi_hat, x_hat=x_hat, total_events=events)
 

@@ -40,13 +40,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, check_number
 
 #: TCP/IP header overhead carried inside an 802.11 data frame payload, and
 #: equally the size of a bare TCP ACK segment (40 bytes).
 TCP_IP_HEADER_BITS = 320
 
 _ACCESS_MODES = ("basic", "rtscts")
+
+#: MacParams fields that must be strictly positive; every other numeric
+#: field must be non-negative.
+_POSITIVE_FIELDS = ("slot_time", "difs", "sifs", "data_rate", "control_rate",
+                    "cw_min")
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,16 @@ class MacParams:
     access_mode: str = "basic"
 
     def __post_init__(self) -> None:
-        for name in ("slot_time", "difs", "sifs", "data_rate", "control_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("phy_header_time",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in ("mac_header_bits", "ack_bits", "rts_bits", "cts_bits",
-                     "payload_bits"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if self.cw_min < 1:
-            raise ConfigError("cw_min must be at least 1")
-        if self.backoff_doubling_cap < 0:
-            raise ConfigError("backoff_doubling_cap must be non-negative")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit must be non-negative")
+        for f in dataclasses.fields(self):
+            if f.type == "str":
+                continue
+            value = check_number(getattr(self, f.name), f.name,
+                                 integer=f.type == "int")
+            if f.name in _POSITIVE_FIELDS and value <= 0:
+                raise ConfigError(f"{f.name} must be positive, got {value!r}")
+            if value < 0:
+                raise ConfigError(
+                    f"{f.name} must be non-negative, got {value!r}")
         if self.access_mode not in _ACCESS_MODES:
             raise ConfigError(
                 f"access_mode must be one of {_ACCESS_MODES}, "

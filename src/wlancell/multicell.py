@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from . import dcf
 from .errors import ConfigError, ConvergenceError
-from .topology import (CellSpec, ContentionGraph, IndependentSetFamily,
+from .topology import (CellSpec, ContentionGraph, IndependentSetFamily, bits,
                        closed_neighborhood_subgraph, enumerate_state_space)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
@@ -163,13 +163,11 @@ def stationary_distribution(family: IndependentSetFamily,
     weights are normalised with compensated summation.  ``rho`` is aligned
     with ``family.graph.vertices``.
     """
-    verts = family.graph.vertices
-    if len(rho) != len(verts):
+    if len(rho) != len(family.graph.vertices):
         raise ConfigError("rho must align with the graph vertices")
     if any(r < 0 for r in rho):
         raise ConfigError("occupation ratios must be non-negative")
-    rho_by_id = dict(zip(verts, rho))
-    weights = [math.prod(rho_by_id[v] for v in state) for state in family.states]
+    weights = [math.prod(rho[k] for k in bits(mask)) for mask in family.masks]
     z = math.fsum(weights)
     return {state: w / z for state, w in zip(family.states, weights)}
 
@@ -188,47 +186,49 @@ def collision_probabilities(family: IndependentSetFamily,
     ``gamma = 1`` and a True flag.
     """
     verts = family.graph.vertices
-    adj = family.graph.adjacency
+    nbr = family.graph.nbr_masks
     n_by_id = {c.id: c.n_nodes for c in cells}
-    beta_by_id = dict(zip(verts, beta))
-    gammas = []
-    starved = []
-    for v in verts:
-        num_terms = []
-        den_terms = []
-        b_v = beta_by_id[v]
-        silent_own = (1.0 - b_v) ** (n_by_id[v] - 1)
-        for state in family.states:
-            free = family.in_backoff[state]
-            if v not in free:
-                continue
-            p = pi[state]
-            silent_nbrs = math.prod(
-                (1.0 - beta_by_id[j]) ** n_by_id[j]
-                for j in adj[v] & free)
-            num_terms.append(p * (1.0 - silent_own * silent_nbrs))
-            den_terms.append(p)
-        den = math.fsum(den_terms)
-        if den < STARVATION_FLOOR:
-            gammas.append(1.0)
-            starved.append(True)
-        else:
-            gammas.append(math.fsum(num_terms) / den)
-            starved.append(False)
-    return tuple(gammas), tuple(starved)
+    n_nodes = [n_by_id[v] for v in verts]
+    silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
+    silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
+    num_terms: list[list[float]] = [[] for _ in verts]
+    den_terms: list[list[float]] = [[] for _ in verts]
+    for state, free in zip(family.states, family.free):
+        p = pi[state]
+        for k in bits(free):
+            silent_nbrs = math.prod(silent_cell[j] for j in bits(nbr[k] & free))
+            num_terms[k].append(p * (1.0 - silent_own[k] * silent_nbrs))
+            den_terms[k].append(p)
+    dens = [math.fsum(terms) for terms in den_terms]
+    starved = tuple(den < STARVATION_FLOOR for den in dens)
+    gammas = tuple(1.0 if s else math.fsum(num) / den
+                   for num, den, s in zip(num_terms, dens, starved))
+    return gammas, starved
 
 
 def unblocked_fractions_direct(family: IndependentSetFamily,
                                pi: Mapping[frozenset[int], float]
                                ) -> tuple[float, ...]:
     """Fraction of time each cell is active or in backoff, from ``pi``."""
-    verts = family.graph.vertices
-    out = []
-    for v in verts:
-        out.append(math.fsum(
-            pi[state] for state in family.states
-            if v in state or v in family.in_backoff[state]))
-    return tuple(out)
+    terms: list[list[float]] = [[] for _ in family.graph.vertices]
+    for state, mask, free in zip(family.states, family.masks, family.free):
+        p = pi[state]
+        for k in bits(mask | free):
+            terms[k].append(p)
+    return tuple(math.fsum(t) for t in terms)
+
+
+def evaluate_law(family: IndependentSetFamily, beta: Sequence[float],
+                 rho: Sequence[float], cells: Sequence[CellSpec]
+                 ) -> tuple[dict[frozenset[int], float], tuple[float, ...],
+                            tuple[bool, ...], tuple[float, ...]]:
+    """Stationary law and what the solver reads off it, at ``beta``, ``rho``.
+
+    Returns ``(pi, gamma, starved, x)``.
+    """
+    pi = stationary_distribution(family, rho)
+    gamma, starved = collision_probabilities(family, pi, beta, cells)
+    return pi, gamma, starved, unblocked_fractions_direct(family, pi)
 
 
 def _partition_sum(graph: ContentionGraph,
@@ -361,9 +361,7 @@ def solve_fixed_point(problem: MultiCellProblem, *,
             residual=residual, iterations=max_iter, history=history[-10:])
 
     lam, mu_inv, rho = rates(beta)
-    pi = stationary_distribution(family, rho)
-    gamma, starved = collision_probabilities(family, pi, beta, cells)
-    x = unblocked_fractions_direct(family, pi)
+    pi, gamma, starved, x = evaluate_law(family, beta, rho, cells)
     theta_cell, theta_node = cell_throughputs(x, cells, mac)
     return FixedPointSolution(
         beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, pi=pi,

@@ -15,6 +15,9 @@ which govern the heavy-load behaviour: under ever-growing payloads the
 network spends all its time in maximum independent sets, so a cell's
 long-run share is tied to how many of them it belongs to.
 
+Inside the package a set of cells is a bitmask, bit ``k`` standing for
+``graph.vertices[k]``; `ContentionGraph.nbr_masks` and `bits` build on it.
+
 Cells are identified by 1-based ids throughout.  Graphs are immutable;
 subgraph views keep the original ids so results can be mapped back.
 """
@@ -22,11 +25,11 @@ subgraph views keep the original ids so results can be mapped back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import dist
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, check_number
 
 _GRAPH_KINDS = ("physical", "logical")
 
@@ -97,6 +100,41 @@ class ContentionGraph:
             nbrs[j].add(i)
         return {v: frozenset(s) for v, s in nbrs.items()}
 
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """Neighbourhood of ``vertices[k]`` as a bitmask, for each ``k``."""
+        bit = {v: 1 << k for k, v in enumerate(self.vertices)}
+        return tuple(sum(bit[u] for u in self.adjacency[v])
+                     for v in self.vertices)
+
+    @cached_property
+    def independence_number(self) -> Callable[[int], int]:
+        """Size of a largest independent set among the cells of a bitmask.
+
+        Memoised for the life of the graph; branches on whether the lowest
+        cell stays out, or joins and drops its neighbours.
+        """
+        nbr = self.nbr_masks
+
+        @cache
+        def alpha(mask: int) -> int:
+            if not mask:
+                return 0
+            low = mask & -mask
+            rest = mask ^ low
+            return max(alpha(rest),
+                       1 + alpha(rest & ~nbr[low.bit_length() - 1]))
+
+        return alpha
+
+    def label_masks(self, labels: Sequence[int]) -> Iterable[int]:
+        """Bitmask of the cells sharing each distinct label, in order of
+        first use; ``labels[k]`` is the label of ``vertices[k]``."""
+        masks: dict[int, int] = {}
+        for k, label in enumerate(labels):
+            masks[label] = masks.get(label, 0) | 1 << k
+        return masks.values()
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
@@ -105,23 +143,32 @@ class ContentionGraph:
         return max((len(s) for s in self.adjacency.values()), default=0)
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class IndependentSetFamily:
     """All independent sets of a graph, with per-state cell partitions.
 
     ``states`` lists every independent set, the empty set first, in a
-    deterministic (size, then lexicographic) order.  For each state the
-    non-members split into ``blocked`` (at least one active neighbour) and
-    ``in_backoff`` (free to start transmitting).  ``mis_list`` holds the
-    maximum independent sets; ``alpha`` is their common size, ``eta`` how
-    many there are, and ``eta_i`` how many contain each vertex, aligned
-    with ``graph.vertices``.
+    deterministic (size, then lexicographic) order.  Aligned with it,
+    ``masks`` holds each state's active cells and ``free`` its cells in
+    backoff (no active neighbour), both as bitmasks over
+    ``graph.vertices``; the remaining cells are blocked.  ``mis_list``
+    holds the maximum independent sets; ``alpha`` is their common size,
+    ``eta`` how many there are, and ``eta_i`` how many contain each
+    vertex, aligned with ``graph.vertices``.
     """
 
     graph: ContentionGraph
     states: tuple[frozenset[int], ...]
-    blocked: Mapping[frozenset[int], frozenset[int]] = field(repr=False)
-    in_backoff: Mapping[frozenset[int], frozenset[int]] = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)
+    free: tuple[int, ...] = field(repr=False)
     mis_list: tuple[frozenset[int], ...]
     alpha: int
     eta: int
@@ -172,47 +219,45 @@ def enumerate_state_space(graph: ContentionGraph, *,
                           max_states: int = 10_000_000) -> IndependentSetFamily:
     """Enumerate every independent set of ``graph`` and classify each state.
 
-    Depth-first over vertices in sorted order.  Budgets guard against
-    exponential blow-up: exceeding ``max_cells`` vertices or ``max_states``
-    discovered states raises BudgetExceededError.
+    Grows the sets one size at a time, extending each by vertices above
+    its largest member, which yields them already in (size, then
+    lexicographic) order.  Budgets guard against exponential blow-up:
+    exceeding ``max_cells`` vertices or ``max_states`` discovered states
+    raises BudgetExceededError.
     """
     verts = graph.vertices
-    if len(verts) > max_cells:
+    n = len(verts)
+    if n > max_cells:
         raise BudgetExceededError(
-            f"{len(verts)} cells exceeds the enumeration budget of "
+            f"{n} cells exceeds the enumeration budget of "
             f"{max_cells}; raise max_cells explicitly if this is intended")
-    adj = graph.adjacency
-    states: list[frozenset[int]] = []
+    nbr = graph.nbr_masks
+    full = (1 << n) - 1
+    masks: list[int] = []
+    free: list[int] = []
+    # (members, members' neighbours, lowest vertex that may still join)
+    level = [(0, 0, 0)]
+    while level:
+        last = level
+        level = []
+        for mask, covered, start in last:
+            masks.append(mask)
+            free.append(full & ~(mask | covered))
+            for k in bits(full & ~covered & -(1 << start)):
+                level.append((mask | 1 << k, covered | nbr[k], k + 1))
+            if len(masks) + len(level) > max_states:
+                raise BudgetExceededError(
+                    f"independent-set count exceeds max_states={max_states}")
 
-    def extend(start: int, current: tuple[int, ...]) -> None:
-        states.append(frozenset(current))
-        if len(states) > max_states:
-            raise BudgetExceededError(
-                f"independent-set count exceeds max_states={max_states}")
-        for k in range(start, len(verts)):
-            v = verts[k]
-            if not any(u in adj[v] for u in current):
-                extend(k + 1, current + (v,))
+    def cells(mask: int) -> frozenset[int]:
+        return frozenset(verts[k] for k in bits(mask))
 
-    extend(0, ())
-    states.sort(key=lambda s: (len(s), tuple(sorted(s))))
-
-    vset = set(verts)
-    blocked: dict[frozenset[int], frozenset[int]] = {}
-    in_backoff: dict[frozenset[int], frozenset[int]] = {}
-    for state in states:
-        blk = frozenset(v for v in vset - state if adj[v] & state)
-        blocked[state] = blk
-        in_backoff[state] = frozenset(vset - state - blk)
-
-    alpha = max(len(s) for s in states)
-    mis_list = tuple(s for s in states if len(s) == alpha)
-    eta = len(mis_list)
-    eta_i = tuple(sum(1 for s in mis_list if v in s) for v in verts)
-    return IndependentSetFamily(graph=graph, states=tuple(states),
-                                blocked=blocked, in_backoff=in_backoff,
-                                mis_list=mis_list, alpha=alpha, eta=eta,
-                                eta_i=eta_i)
+    mis_masks = [mask for mask, _, _ in last]
+    return IndependentSetFamily(
+        graph=graph, states=tuple(map(cells, masks)), masks=tuple(masks),
+        free=tuple(free), mis_list=tuple(map(cells, mis_masks)),
+        alpha=mis_masks[0].bit_count(), eta=len(mis_masks),
+        eta_i=tuple(sum(m >> k & 1 for m in mis_masks) for k in range(n)))
 
 
 def induced_subgraph(graph: ContentionGraph,
@@ -236,12 +281,9 @@ def closed_neighborhood_subgraph(graph: ContentionGraph, v: int) -> ContentionGr
     """
     if v not in graph.adjacency:
         raise ConfigError(f"vertex {v} not in graph")
-    removed = {v} | set(graph.adjacency[v])
-    kept = tuple(u for u in graph.vertices if u not in removed)
-    edges = frozenset(e for e in graph.edges
-                      if e[0] not in removed and e[1] not in removed)
-    return ContentionGraph(n_cells=graph.n_cells, edges=edges,
-                           kind=graph.kind, vertices=kept)
+    removed = graph.adjacency[v] | {v}
+    return induced_subgraph(
+        graph, (u for u in graph.vertices if u not in removed))
 
 
 def maximal_independent_set(graph: ContentionGraph,
@@ -276,52 +318,75 @@ class ParsedTopology:
     name: str
 
 
+_TOPOLOGY_KEYS = frozenset(
+    {"name", "comment", "cells", "edges", "r_cs", "channels", "mac"})
+_CELL_KEYS = frozenset({"id", "n_nodes", "x", "y"})
+
+
+def _reject_unknown_keys(raw: Mapping, allowed: frozenset[str],
+                         where: str) -> None:
+    unknown = sorted(str(k) for k in raw if k not in allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 def parse_topology(raw: Mapping) -> ParsedTopology:
     """Decode the JSON topology schema into typed objects.
 
-    Schema: ``{"name"?, "cells": [{"id", "n_nodes"?, "x"?, "y"?}, ...],
-    "edges"?: [[i, j], ...], "r_cs"?, "channels"?, "mac"?: {...}}``.
-    Explicit edges win over geometry; with no edge list, positions plus
-    ``r_cs`` are required (except for a single-cell topology).
+    Schema: ``{"name"?, "comment"?, "cells": [{"id", "n_nodes"?, "x"?,
+    "y"?}, ...], "edges"?: [[i, j], ...], "r_cs"?, "channels"?,
+    "mac"?: {...}}``.  Explicit edges win over geometry; with no edge
+    list, positions plus ``r_cs`` are required (except for a single-cell
+    topology).  Unknown keys and values of the wrong type raise
+    ConfigError.
     """
     if not isinstance(raw, Mapping):
         raise ConfigError("topology must be a JSON object")
+    _reject_unknown_keys(raw, _TOPOLOGY_KEYS, "topology")
     raw_cells = raw.get("cells")
     if not raw_cells:
         raise ConfigError("topology has no cells")
+    if not isinstance(raw_cells, (list, tuple)) or not all(
+            isinstance(rc, Mapping) for rc in raw_cells):
+        raise ConfigError(f"cells must be a list of objects, got {raw_cells!r}")
     cells = []
     for rc in raw_cells:
+        _reject_unknown_keys(rc, _CELL_KEYS, "cell")
+        cid = check_number(rc.get("id"), "cell id", integer=True)
         pos = None
         if "x" in rc or "y" in rc:
             if "x" not in rc or "y" not in rc:
-                raise ConfigError(f"cell {rc.get('id')} has a partial position")
-            pos = (rc["x"], rc["y"])
-        try:
-            cells.append(CellSpec(id=int(rc["id"]),
-                                  n_nodes=int(rc.get("n_nodes", 1)),
-                                  position=pos))
-        except KeyError as exc:
-            raise ConfigError(f"cell entry missing {exc}") from exc
+                raise ConfigError(f"cell {cid} has a partial position")
+            pos = (check_number(rc["x"], f"cell {cid} x"),
+                   check_number(rc["y"], f"cell {cid} y"))
+        n_nodes = check_number(rc.get("n_nodes", 1), f"cell {cid} n_nodes",
+                               integer=True)
+        cells.append(CellSpec(id=cid, n_nodes=n_nodes, position=pos))
     cells.sort(key=lambda c: c.id)
     ids = [c.id for c in cells]
     if ids != list(range(1, len(cells) + 1)):
         raise ConfigError(f"cell ids must be contiguous from 1, got {ids}")
 
     if "edges" in raw:
-        edge_list: Iterable = raw["edges"]
-        edges = frozenset((min(int(i), int(j)), max(int(i), int(j)))
-                          for i, j in edge_list)
-        graph = ContentionGraph(n_cells=len(cells), edges=edges,
-                                kind="physical")
+        edges = raw["edges"]
+        if not isinstance(edges, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+            raise ConfigError(f"edges must be [i, j] pairs, got {edges!r}")
+        graph = ContentionGraph(n_cells=len(cells), kind="physical", edges=frozenset(
+            tuple(check_number(v, "edge endpoint", integer=True) for v in e)
+            for e in edges))
     elif "r_cs" in raw:
-        graph = build_physical_graph(cells, float(raw["r_cs"]))
+        graph = build_physical_graph(cells,
+                                     check_number(raw["r_cs"], "r_cs"))
     elif len(cells) == 1:
         graph = ContentionGraph(n_cells=1, edges=frozenset(), kind="physical")
     else:
         raise ConfigError(
             "topology needs either an explicit edge list or r_cs geometry")
 
-    n_channels = int(raw["channels"]) if "channels" in raw else None
+    n_channels = (check_number(raw["channels"], "channels", integer=True)
+                  if "channels" in raw else None)
     if n_channels is not None and n_channels < 1:
         raise ConfigError(f"channels must be positive, got {n_channels}")
     mac = raw.get("mac")

@@ -233,8 +233,8 @@ def test_criterion_06_detailed_balance(all_sat):
         solution = solved.solution
         family = solution.family
         mu = tuple(1.0 / m for m in solution.mu_inv)
-        for state in family.states:
-            for cell in family.in_backoff[state]:
+        for state, free in zip(family.states, family.free):
+            for cell in (family.graph.vertices[k] for k in topology.bits(free)):
                 flow_up = solution.pi[state] * solution.lam[cell - 1]
                 flow_down = solution.pi[state | {cell}] * mu[cell - 1]
                 rel = abs(flow_up - flow_down) / max(flow_up, flow_down)

@@ -91,6 +91,20 @@ def test_analyze_bad_topology_file(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_malformed_edge_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"cells": [{"id": 1}, {"id": 2}],
+                               "edges": [[1]]}))
+    assert _run("analyze", "--input", str(bad), "--out", str(tmp_path)) == 2
+    assert "edges must be [i, j] pairs" in capsys.readouterr().err
+
+
+def test_analyze_nan_mac_override_exits_2(tmp_path, capsys):
+    assert _run("analyze", "--input", "path4", "--out", str(tmp_path),
+                "--mac-slot-time", "nan") == 2
+    assert "slot_time must be a finite number" in capsys.readouterr().err
+
+
 def test_analyze_unknown_input(tmp_path, capsys):
     assert _run("analyze", "--input", "nope", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
@@ -212,6 +226,8 @@ def test_sweep_rho(tmp_path):
     ("--sweep", "payload", "--payload-bytes", "a:b:c"),
     ("--sweep", "rho", "--rho-factors", ""),
     ("--sweep", "rho", "--rho-factors", "1,-2"),
+    ("--sweep", "rho", "--rho-factors", "1,nan"),
+    ("--sweep", "rho", "--rho-factors", "inf"),
 ])
 def test_sweep_bad_ranges(tmp_path, capsys, flags):
     assert _run("sweep", "--input", "path4", "--out", str(tmp_path),

@@ -1,6 +1,7 @@
 """Single-cell model: attempt probability, fixed point, throughput."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -174,3 +175,25 @@ def test_mac_from_dict_layers_over_base():
 def test_mac_params_validate_fields(overrides):
     with pytest.raises(ConfigError):
         dcf.mac_from_dict(overrides)
+
+
+@pytest.mark.parametrize("field", ["slot_time", "sifs", "phy_header_time",
+                                   "data_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_mac_params_reject_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        dcf.MacParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["cw_min", "payload_bits", "retry_limit"])
+@pytest.mark.parametrize("value", [32.5, 32.0, "32"])
+def test_mac_params_reject_non_integer_ints(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        dcf.MacParams(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("payload_bits", True),
+                                         ("slot_time", True)])
+def test_mac_params_reject_bools(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dcf.MacParams(**{field: value})

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from wlancell import dcf, multicell
 from wlancell.errors import ConfigError, ConvergenceError
 from wlancell.multicell import MultiCellProblem
-from wlancell.topology import CellSpec, ContentionGraph, enumerate_state_space
+from wlancell.topology import (CellSpec, ContentionGraph, bits,
+                               enumerate_state_space)
 
 from conftest import solve_fixture
 
@@ -106,10 +107,62 @@ def test_detailed_balance(case):
     family = enumerate_state_space(graph)
     pi = multicell.stationary_distribution(family, rho)
     rho_by_id = dict(zip(graph.vertices, rho))
-    for state in family.states:
-        for v in family.in_backoff[state]:
+    for state, free in zip(family.states, family.free):
+        for v in (graph.vertices[k] for k in bits(free)):
             up = pi[frozenset(state | {v})]
             assert math.isclose(pi[state] * rho_by_id[v], up, rel_tol=1e-12)
+
+
+def reference_collision_probabilities(family, pi, beta, cells):
+    """Frozenset formulation of `multicell.collision_probabilities`.
+
+    Recomputes each state's backoff set from the adjacency and walks the
+    states once per cell.
+    """
+    verts = family.graph.vertices
+    adj = family.graph.adjacency
+    n_by_id = {c.id: c.n_nodes for c in cells}
+    beta_by_id = dict(zip(verts, beta))
+    gammas = []
+    starved = []
+    for v in verts:
+        num_terms = []
+        den_terms = []
+        silent_own = (1.0 - beta_by_id[v]) ** (n_by_id[v] - 1)
+        for state in family.states:
+            free = frozenset(u for u in verts
+                             if u not in state and not adj[u] & state)
+            if v not in free:
+                continue
+            p = pi[state]
+            silent_nbrs = math.prod(
+                (1.0 - beta_by_id[j]) ** n_by_id[j] for j in adj[v] & free)
+            num_terms.append(p * (1.0 - silent_own * silent_nbrs))
+            den_terms.append(p)
+        den = math.fsum(den_terms)
+        starved.append(den < multicell.STARVATION_FLOOR)
+        gammas.append(1.0 if starved[-1] else math.fsum(num_terms) / den)
+    return tuple(gammas), tuple(starved)
+
+
+@given(case=graphs_with_rho(), data=st.data())
+def test_collision_kernel_matches_frozenset_reference(case, data):
+    graph, rho = case
+    n = len(graph.vertices)
+    beta = data.draw(st.lists(st.floats(min_value=0.0, max_value=0.5),
+                              min_size=n, max_size=n))
+    n_nodes = data.draw(st.lists(st.integers(min_value=1, max_value=10),
+                                 min_size=n, max_size=n))
+    cells = tuple(CellSpec(id=v, n_nodes=k)
+                  for v, k in zip(graph.vertices, n_nodes))
+    family = enumerate_state_space(graph)
+    pi = multicell.stationary_distribution(family, rho)
+    gamma, starved = multicell.collision_probabilities(family, pi, beta, cells)
+    ref_gamma, ref_starved = reference_collision_probabilities(
+        family, pi, beta, cells)
+    assert starved == ref_starved
+    for got, want in zip(gamma, ref_gamma):
+        assert abs(got - want) <= 1e-12
 
 
 @pytest.mark.parametrize("rho", [0.1, 1.0, 13.7])

@@ -1,12 +1,15 @@
 """Cells, contention graphs, and independent-set enumeration."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wlancell import fixtures
 from wlancell.errors import BudgetExceededError, ConfigError
-from wlancell.topology import (CellSpec, ContentionGraph,
+from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                build_physical_graph,
                                closed_neighborhood_subgraph,
                                enumerate_state_space, induced_subgraph,
@@ -18,6 +21,19 @@ PATH4_EDGES = frozenset({(1, 2), (2, 3), (3, 4)})
 
 def path4_graph() -> ContentionGraph:
     return ContentionGraph(n_cells=4, edges=PATH4_EDGES)
+
+
+def cells_of(graph: ContentionGraph, mask: int) -> frozenset[int]:
+    return frozenset(graph.vertices[k] for k in bits(mask))
+
+
+def partition(family, index: int) -> tuple[frozenset, frozenset, frozenset]:
+    """(active, blocked, in backoff) cells of ``family.states[index]``."""
+    graph = family.graph
+    full = (1 << len(graph.vertices)) - 1
+    mask, free = family.masks[index], family.free[index]
+    return (cells_of(graph, mask), cells_of(graph, full & ~(mask | free)),
+            cells_of(graph, free))
 
 
 @st.composite
@@ -118,8 +134,9 @@ def test_enumerate_path4_states():
     assert family.mis_list == (frozenset({1, 3}), frozenset({1, 4}),
                                frozenset({2, 4}))
     state = frozenset({1})
-    assert family.blocked[state] == frozenset({2})
-    assert family.in_backoff[state] == frozenset({3, 4})
+    _, blocked, backoff = partition(family, family.states.index(state))
+    assert blocked == frozenset({2})
+    assert backoff == frozenset({3, 4})
 
 
 def test_enumerate_hex7_center_in_no_maximum_set():
@@ -134,10 +151,11 @@ def test_states_partition_and_mis_counts(graph):
     family = enumerate_state_space(graph)
     verts = set(graph.vertices)
     adj = graph.adjacency
-    for state in family.states:
+    for index, state in enumerate(family.states):
         assert not any(u in adj[v] for v in state for u in state)
-        blocked = family.blocked[state]
-        backoff = family.in_backoff[state]
+        active, blocked, backoff = partition(family, index)
+        assert active == state
+        assert backoff == {v for v in verts - state if not adj[v] & state}
         assert state | blocked | backoff == verts
         assert not (state & blocked or state & backoff or blocked & backoff)
     # the empty set and every singleton are always independent
@@ -224,7 +242,29 @@ def test_parse_topology_single_cell_needs_no_edges():
     {"cells": [{"id": 1}, {"id": 2}]},
     {"cells": [{"id": 1}], "edges": [], "channels": 0},
     {"cells": [{"id": 1}], "edges": [], "mac": [1, 2]},
+    {"cells": [{"id": 1}], "edges": [], "colour": "red"},
+    {"cells": [{"id": 1, "position": [0.0, 0.0]}], "edges": []},
+    {"cells": [{"id": "a"}], "edges": []},
+    {"cells": [{"id": 1.5}], "edges": []},
+    {"cells": [{"id": 1, "n_nodes": "5"}], "edges": []},
+    {"cells": [1], "edges": []},
+    {"cells": [{"id": 1}, {"id": 2}], "edges": [[1]]},
+    {"cells": [{"id": 1}, {"id": 2}], "edges": [[1, "b"]]},
+    {"cells": [{"id": 1}, {"id": 2}], "edges": 3},
+    {"cells": [{"id": 1, "x": 0.0, "y": float("nan")}], "r_cs": 1.0},
+    {"cells": [{"id": 1, "x": 10**400, "y": 0.0}], "r_cs": 1.0},
+    {"cells": [{"id": 1}], "edges": [], "channels": 2.5},
 ])
 def test_parse_topology_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
         parse_topology(raw)
+
+
+def test_readme_topology_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Topology JSON", 1)[1]
+    raw = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    parsed = parse_topology(raw)
+    assert parsed.graph.edges == frozenset({(1, 2)})
+    del raw["edges"]
+    assert parse_topology(raw).graph.edges == frozenset({(1, 2)})
