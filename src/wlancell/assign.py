@@ -37,8 +37,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .topology import (ContentionGraph, enumerate_state_space,
-                       induced_subgraph, maximal_independent_set)
+from .topology import (ContentionGraph, bits, induced_subgraph,
+                       maximal_independent_set)
 
 #: Utility improvements below this are treated as ties when testing for
 #: Nash equilibria.
@@ -122,14 +122,6 @@ class NashResult:
     utility: float
 
 
-def independence_number(graph: ContentionGraph,
-                        subset: Sequence[int] | None = None) -> int:
-    """Size of a largest independent set within ``subset`` (default: all)."""
-    if subset is not None:
-        graph = induced_subgraph(graph, subset)
-    return graph.independence_number((1 << len(graph.vertices)) - 1)
-
-
 def utility_theta_bar(physical: ContentionGraph,
                       assignment: ChannelAssignment | Sequence[int]) -> float:
     """Mean heavy-load unblocked share of an assignment, in [0, 1].
@@ -158,16 +150,12 @@ def infinite_load_profile(physical: ContentionGraph,
     channels = tuple(getattr(assignment, "channels", assignment))
     if len(channels) != len(physical.vertices):
         raise ConfigError("assignment must cover every cell")
-    by_channel: dict[int, list[int]] = {}
-    for v, ch in zip(physical.vertices, channels):
-        by_channel.setdefault(ch, []).append(v)
-    x_by_id: dict[int, float] = {}
-    for members in by_channel.values():
-        sub = induced_subgraph(physical, members)
-        family = enumerate_state_space(sub)
-        for v, eta_v in zip(sub.vertices, family.eta_i):
-            x_by_id[v] = eta_v / family.eta
-    return tuple(x_by_id[v] for v in physical.vertices)
+    x = [0.0] * len(channels)
+    for mask in physical.label_masks(channels):
+        _, eta, eta_i = physical.maximum_set_profile(mask)
+        for k in bits(mask):
+            x[k] = eta_i[k] / eta
+    return tuple(x)
 
 
 def make_fixed_point_utility(cells, mac, traffic_mode: str = "saturated",

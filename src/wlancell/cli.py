@@ -366,16 +366,13 @@ def _add_mac_arguments(parser: argparse.ArgumentParser) -> None:
                            help=f"override {f.name} (default {f.default})")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True,
                         help="topology JSON file or built-in fixture name")
-    if needs_out:
-        parser.add_argument("--out", default=".",
-                            help="output directory (default: current)")
+    parser.add_argument("--out", default=".",
+                        help="output directory (default: current)")
     parser.add_argument("--mode", choices=("sat", "tcp"), default="sat",
                         help="traffic model: saturated or TCP download")
-    parser.add_argument("--format", choices=("csv", "markdown"),
-                        default="csv", help="table output format")
     _add_mac_arguments(parser)
 
 
@@ -387,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="solve the multi-cell fixed point")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "markdown"), default="csv",
+                   help="table output format")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate",
@@ -431,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep payload size or load scaling")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "markdown"), default="csv",
+                   help="table output format")
     p.add_argument("--sweep", choices=("payload", "rho"), default="payload",
                    help="sweep variable")
     p.add_argument("--payload-bytes", default="100:2000:100",

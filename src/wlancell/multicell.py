@@ -25,9 +25,9 @@ rate, so the network is solved as one fixed point:
 Damped iteration of (1)-(3) converges to the operating point.  The
 fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
 throughput into its networked throughput.  ``x_i`` also has a closed form
-in terms of two independent-set partition sums (one for the whole graph,
-one with the cell's closed neighbourhood removed); both routes are
-implemented and agree to near machine precision, which makes a handy
+in terms of two independent-set partition sums (Theorem 1), which
+`unblocked_fractions_theorem1` computes without the state enumeration;
+both routes agree to near machine precision, which makes a handy
 self-check.
 """
 
@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Mapping, Sequence
 
 from . import dcf
 from .errors import ConfigError, ConvergenceError
 from .topology import (CellSpec, ContentionGraph, IndependentSetFamily, bits,
-                       closed_neighborhood_subgraph, enumerate_state_space)
+                       enumerate_state_space)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
 
@@ -95,9 +96,9 @@ class FixedPointSolution:
     All per-cell tuples are aligned with cell ids 1..N.  ``pi`` maps each
     independent set (frozenset of cell ids) to its stationary probability.
     ``x`` is the fraction of time a cell is active or in backoff (i.e. not
-    blocked by a neighbour); ``theta_cell`` multiplies the standalone cell
-    throughput by ``x``.  ``starved`` marks cells whose backoff occupancy
-    fell below the starvation floor, for which ``gamma`` is pinned to 1.
+    blocked by a neighbour); ``theta_cell`` is ``x`` times ``standalone``,
+    the cell's throughput alone.  ``starved`` marks cells whose backoff
+    occupancy fell below the starvation floor, for which ``gamma`` is 1.
     """
 
     beta: tuple[float, ...]
@@ -109,6 +110,7 @@ class FixedPointSolution:
     x: tuple[float, ...]
     theta_cell: tuple[float, ...]
     theta_node: tuple[float, ...]
+    standalone: tuple[float, ...]
     theta_bar: float
     iterations: int
     residual: float
@@ -161,14 +163,19 @@ def stationary_distribution(family: IndependentSetFamily,
 
     Each state's weight is the product of its members' occupation ratios;
     weights are normalised with compensated summation.  ``rho`` is aligned
-    with ``family.graph.vertices``.
+    with ``family.graph.vertices``.  Raises ConfigError on overflow.
     """
     if len(rho) != len(family.graph.vertices):
         raise ConfigError("rho must align with the graph vertices")
     if any(r < 0 for r in rho):
         raise ConfigError("occupation ratios must be non-negative")
     weights = [math.prod(rho[k] for k in bits(mask)) for mask in family.masks]
-    z = math.fsum(weights)
+    try:
+        z = math.fsum(weights)
+    except OverflowError:
+        z = math.inf
+    if z == math.inf:
+        raise ConfigError("occupation ratios overflow the state weights")
     return {state: w / z for state, w in zip(family.states, weights)}
 
 
@@ -231,56 +238,52 @@ def evaluate_law(family: IndependentSetFamily, beta: Sequence[float],
     return pi, gamma, starved, unblocked_fractions_direct(family, pi)
 
 
-def _partition_sum(graph: ContentionGraph,
-                   rho_by_id: Mapping[int, float]) -> float:
-    """Sum over all independent sets of the product of member ratios."""
-    family = enumerate_state_space(graph)
-    return math.fsum(
-        math.prod(rho_by_id[v] for v in state) for state in family.states)
-
-
 def unblocked_fractions_theorem1(graph: ContentionGraph,
                                  rho: Sequence[float]) -> tuple[float, ...]:
     """Closed-form unblocked fractions from partition-sum ratios.
 
     ``x_i = (1 + rho_i) * Z_i / Z`` where ``Z`` sums independent-set
     weights over the whole graph and ``Z_i`` over the graph with cell
-    ``i``'s closed neighbourhood deleted.  Agrees with the direct
-    occupancy sum to near machine precision; kept separate as an
-    independent route for validation.
+    ``i``'s closed neighbourhood deleted, each branching on the lowest
+    cell as ``Z(rest) + rho_low * Z(rest minus low's neighbours)``.  Kept
+    apart from the state enumeration as an independent route for validation.
     """
     verts = graph.vertices
     if len(rho) != len(verts):
         raise ConfigError("rho must align with the graph vertices")
-    rho_by_id = dict(zip(verts, rho))
-    z_full = _partition_sum(graph, rho_by_id)
-    out = []
-    for v in verts:
-        sub = closed_neighborhood_subgraph(graph, v)
-        z_v = _partition_sum(sub, rho_by_id)
-        out.append((1.0 + rho_by_id[v]) * z_v / z_full)
-    return tuple(out)
+    nbr = graph.nbr_masks
+
+    @cache
+    def z(mask: int) -> float:
+        if not mask:
+            return 1.0
+        low = mask & -mask
+        k = low.bit_length() - 1
+        rest = mask ^ low
+        return z(rest) + rho[k] * z(rest & ~nbr[k])
+
+    full = (1 << len(verts)) - 1
+    z_full = z(full)
+    return tuple((1.0 + rho[k]) * z(full & ~(nbr[k] | 1 << k)) / z_full
+                 for k in range(len(verts)))
 
 
 def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
                      mac: dcf.MacParams
-                     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+                     ) -> tuple[tuple[float, ...], tuple[float, ...],
+                                tuple[float, ...]]:
     """Scale standalone cell throughputs by the unblocked fractions.
 
-    Returns ``(theta_cell, theta_node)`` in packets per second; the
-    per-node figure divides by the cell's station count.
+    Returns ``(theta_cell, theta_node, standalone)`` in packets per
+    second: per cell, per node (of the cell's stations), and alone, from
+    one single-cell solve per distinct station count.
     """
-    cache: dict[int, float] = {}
-    theta_cell = []
-    theta_node = []
-    for xi, cell in zip(x, cells):
-        n = cell.n_nodes
-        if n not in cache:
-            cache[n] = dcf.single_cell_throughput(n, mac)
-        agg = xi * cache[n]
-        theta_cell.append(agg)
-        theta_node.append(agg / n)
-    return tuple(theta_cell), tuple(theta_node)
+    by_n = {n: dcf.single_cell_throughput(n, mac)
+            for n in {c.n_nodes for c in cells}}
+    standalone = tuple(by_n[c.n_nodes] for c in cells)
+    theta_cell = tuple(xi * s for xi, s in zip(x, standalone))
+    theta_node = tuple(t / c.n_nodes for t, c in zip(theta_cell, cells))
+    return theta_cell, theta_node, standalone
 
 
 def large_rho_limits(family: IndependentSetFamily
@@ -292,8 +295,9 @@ def large_rho_limits(family: IndependentSetFamily
     fraction tends to the share of maximum independent sets containing it,
     and the network-wide sum tends to the independence number.
     """
-    x_inf = tuple(ei / family.eta for ei in family.eta_i)
-    return x_inf, float(family.alpha)
+    full = (1 << len(family.graph.vertices)) - 1
+    alpha, eta, eta_i = family.graph.maximum_set_profile(full)
+    return tuple(ei / eta for ei in eta_i), float(alpha)
 
 
 def jain_fairness(x: Sequence[float]) -> float:
@@ -362,25 +366,23 @@ def solve_fixed_point(problem: MultiCellProblem, *,
 
     lam, mu_inv, rho = rates(beta)
     pi, gamma, starved, x = evaluate_law(family, beta, rho, cells)
-    theta_cell, theta_node = cell_throughputs(x, cells, mac)
+    theta_cell, theta_node, standalone = cell_throughputs(x, cells, mac)
     return FixedPointSolution(
         beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, pi=pi,
         x=x, theta_cell=theta_cell, theta_node=theta_node,
-        theta_bar=math.fsum(x), iterations=converged_at, residual=residual,
-        starved=starved, family=family)
+        standalone=standalone, theta_bar=math.fsum(x),
+        iterations=converged_at, residual=residual, starved=starved,
+        family=family)
 
 
 def solution_rows(problem: MultiCellProblem,
                   solution: FixedPointSolution) -> list[dict]:
     """Per-cell result rows in `CSV_COLUMNS` order (as a list of dicts)."""
-    cells, mac = effective_configuration(problem)
+    cells, _ = effective_configuration(problem)
     x_inf, _ = large_rho_limits(solution.family)
-    cache: dict[int, float] = {}
     rows = []
     for k, cell in enumerate(cells):
         n = cell.n_nodes
-        if n not in cache:
-            cache[n] = dcf.single_cell_throughput(n, mac) / n
         rows.append({
             "id": cell.id,
             "n_nodes": n,
@@ -390,18 +392,20 @@ def solution_rows(problem: MultiCellProblem,
             "theta_cell": solution.theta_cell[k],
             "theta_node": solution.theta_node[k],
             "x_inf": x_inf[k],
-            "theta_node_inf": x_inf[k] * cache[n],
+            "theta_node_inf": x_inf[k] * (solution.standalone[k] / n),
         })
     return rows
 
 
 def solution_summary(solution: FixedPointSolution) -> dict:
     """Network-level scalars: total unblocked share, fairness, MIS stats."""
+    graph = solution.family.graph
+    alpha, eta, _ = graph.maximum_set_profile((1 << len(graph.vertices)) - 1)
     return {
         "theta_bar": solution.theta_bar,
         "jain_fairness": jain_fairness(solution.x),
-        "alpha": solution.family.alpha,
-        "eta": solution.family.eta,
+        "alpha": alpha,
+        "eta": eta,
         "iterations": solution.iterations,
         "residual": solution.residual,
         "n_starved": sum(solution.starved),

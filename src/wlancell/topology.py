@@ -10,10 +10,10 @@ graph, so the reachable channel states are exactly the independent sets.
 
 This module enumerates that state space and, for each state, splits the
 remaining cells into blocked ones (some neighbour is active) and cells
-counting down backoff.  It also records the maximum independent sets,
-which govern the heavy-load behaviour: under ever-growing payloads the
-network spends all its time in maximum independent sets, so a cell's
-long-run share is tied to how many of them it belongs to.
+counting down backoff.  The maximum independent sets, which the graph
+counts without the enumeration, govern the heavy-load behaviour: under
+ever-growing payloads the network spends all its time in them, so a
+cell's long-run share is tied to how many of them it belongs to.
 
 Inside the package a set of cells is a bitmask, bit ``k`` standing for
 ``graph.vertices[k]``; `ContentionGraph.nbr_masks` and `bits` build on it.
@@ -127,6 +127,37 @@ class ContentionGraph:
 
         return alpha
 
+    @cached_property
+    def maximum_set_count(self) -> Callable[[int], int]:
+        """Number of largest independent sets among the cells of a bitmask,
+        memoised like `independence_number`, whose branches it follows."""
+        nbr, alpha = self.nbr_masks, self.independence_number
+
+        @cache
+        def eta(mask: int) -> int:
+            if not mask:
+                return 1
+            low = mask & -mask
+            rest = mask ^ low
+            inside = rest & ~nbr[low.bit_length() - 1]
+            out, into = alpha(rest), 1 + alpha(inside)
+            return ((eta(rest) if out >= into else 0)
+                    + (eta(inside) if into >= out else 0))
+
+        return eta
+
+    def maximum_set_profile(self, mask: int) -> tuple[int, int, tuple[int, ...]]:
+        """``(alpha, eta, eta_i)``: the size and number of the largest
+        independent sets within ``mask``, and how many of them contain each
+        of ``vertices`` (0 for cells outside ``mask``)."""
+        alpha, eta = self.independence_number, self.maximum_set_count
+        eta_i = [0] * len(self.vertices)
+        for k in bits(mask):
+            others = mask & ~(self.nbr_masks[k] | 1 << k)
+            if 1 + alpha(others) == alpha(mask):
+                eta_i[k] = eta(others)
+        return alpha(mask), eta(mask), tuple(eta_i)
+
     def label_masks(self, labels: Sequence[int]) -> Iterable[int]:
         """Bitmask of the cells sharing each distinct label, in order of
         first use; ``labels[k]`` is the label of ``vertices[k]``."""
@@ -159,20 +190,14 @@ class IndependentSetFamily:
     deterministic (size, then lexicographic) order.  Aligned with it,
     ``masks`` holds each state's active cells and ``free`` its cells in
     backoff (no active neighbour), both as bitmasks over
-    ``graph.vertices``; the remaining cells are blocked.  ``mis_list``
-    holds the maximum independent sets; ``alpha`` is their common size,
-    ``eta`` how many there are, and ``eta_i`` how many contain each
-    vertex, aligned with ``graph.vertices``.
+    ``graph.vertices``; the remaining cells are blocked.  The graph counts
+    the maximum independent sets (`ContentionGraph.maximum_set_profile`).
     """
 
     graph: ContentionGraph
     states: tuple[frozenset[int], ...]
     masks: tuple[int, ...] = field(repr=False)
     free: tuple[int, ...] = field(repr=False)
-    mis_list: tuple[frozenset[int], ...]
-    alpha: int
-    eta: int
-    eta_i: tuple[int, ...]
 
 
 def build_physical_graph(cells: Sequence[CellSpec], r_cs: float) -> ContentionGraph:
@@ -238,9 +263,8 @@ def enumerate_state_space(graph: ContentionGraph, *,
     # (members, members' neighbours, lowest vertex that may still join)
     level = [(0, 0, 0)]
     while level:
-        last = level
-        level = []
-        for mask, covered, start in last:
+        current, level = level, []
+        for mask, covered, start in current:
             masks.append(mask)
             free.append(full & ~(mask | covered))
             for k in bits(full & ~covered & -(1 << start)):
@@ -249,15 +273,9 @@ def enumerate_state_space(graph: ContentionGraph, *,
                 raise BudgetExceededError(
                     f"independent-set count exceeds max_states={max_states}")
 
-    def cells(mask: int) -> frozenset[int]:
-        return frozenset(verts[k] for k in bits(mask))
-
-    mis_masks = [mask for mask, _, _ in last]
-    return IndependentSetFamily(
-        graph=graph, states=tuple(map(cells, masks)), masks=tuple(masks),
-        free=tuple(free), mis_list=tuple(map(cells, mis_masks)),
-        alpha=mis_masks[0].bit_count(), eta=len(mis_masks),
-        eta_i=tuple(sum(m >> k & 1 for m in mis_masks) for k in range(n)))
+    states = tuple(frozenset(verts[k] for k in bits(m)) for m in masks)
+    return IndependentSetFamily(graph=graph, states=states,
+                                masks=tuple(masks), free=tuple(free))
 
 
 def induced_subgraph(graph: ContentionGraph,
@@ -272,18 +290,6 @@ def induced_subgraph(graph: ContentionGraph,
                       if e[0] in kset and e[1] in kset)
     return ContentionGraph(n_cells=graph.n_cells, edges=edges,
                            kind=graph.kind, vertices=kept)
-
-
-def closed_neighborhood_subgraph(graph: ContentionGraph, v: int) -> ContentionGraph:
-    """Induced subgraph after deleting ``v`` and all its neighbours.
-
-    Remaining vertices keep their original ids.
-    """
-    if v not in graph.adjacency:
-        raise ConfigError(f"vertex {v} not in graph")
-    removed = graph.adjacency[v] | {v}
-    return induced_subgraph(
-        graph, (u for u in graph.vertices if u not in removed))
 
 
 def maximal_independent_set(graph: ContentionGraph,

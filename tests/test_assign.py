@@ -136,12 +136,10 @@ def test_relabeling_channels_preserves_utility(data):
 
 
 def test_independence_number():
-    assert assign.independence_number(PATH4) == 2
-    assert assign.independence_number(ARB7) == 4
-    assert assign.independence_number(PATH4, subset=(1, 2)) == 1
-    assert assign.independence_number(PATH4, subset=()) == 0
-    with pytest.raises(ConfigError):
-        assign.independence_number(PATH4, subset=(1, 9))
+    assert PATH4.independence_number(0b1111) == 2
+    assert ARB7.independence_number(0b1111111) == 4
+    assert PATH4.independence_number(0b0011) == 1  # cells 1 and 2
+    assert PATH4.independence_number(0) == 0
 
 
 def test_misa_on_small_graphs():

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from wlancell import cli, multicell
+from wlancell import cli, dcf, multicell
 from wlancell.errors import ConvergenceError
 from wlancell.fixtures import write_fixture_files
 
@@ -74,6 +74,21 @@ def test_analyze_mac_override_changes_the_numbers(tmp_path):
                 "--mac-payload-bits", "4000") == 0
     assert (tmp_path / "d" / "path4_cells.csv").read_text() != \
         (tmp_path / "o" / "path4_cells.csv").read_text()
+
+
+def test_analyze_solves_each_station_count_once(tmp_path, monkeypatch):
+    calls = []
+    solve = dcf.single_cell_fixed_point
+
+    def counted(n, params, **kwargs):
+        calls.append(n)
+        return solve(n, params, **kwargs)
+
+    monkeypatch.setattr(dcf, "single_cell_fixed_point", counted)
+    assert _run("analyze", "--input", "arbitrary7",
+                "--out", str(tmp_path)) == 0
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
 
 
 def test_analyze_tcp_mode_reports_two_effective_nodes(tmp_path):
@@ -148,6 +163,12 @@ def test_simulate_writes_cell_and_state_tables(tmp_path):
     assert states[0] == "state,pi_hat,pi_se,pi_model"
     assert states[1].startswith("idle,")
     assert len(states) == 1 + 8
+
+
+def test_simulate_takes_no_format_flag():
+    with pytest.raises(SystemExit) as exc:
+        _run("simulate", "--input", "path4", "--format", "markdown")
+    assert exc.value.code == 2
 
 
 def test_simulate_single_run_has_no_standard_errors(tmp_path):
@@ -233,6 +254,18 @@ def test_sweep_bad_ranges(tmp_path, capsys, flags):
     assert _run("sweep", "--input", "path4", "--out", str(tmp_path),
                 *flags) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("fixture, factor", [
+    ("path4", "1e153"), ("path4", "1e154"), ("path4", "1e300"),
+    ("hex7", "1e200"),
+])
+def test_sweep_rho_overflow_exits_2(tmp_path, capsys, fixture, factor):
+    assert _run("sweep", "--input", fixture, "--out", str(tmp_path),
+                "--sweep", "rho", "--rho-factors", f"1,{factor}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_isolated_cell_is_never_blocked(tmp_path):

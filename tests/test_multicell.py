@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlancell import dcf, multicell
-from wlancell.errors import ConfigError, ConvergenceError
+from wlancell import assign, dcf, multicell
+from wlancell.errors import BudgetExceededError, ConfigError, ConvergenceError
 from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                enumerate_state_space)
@@ -187,6 +187,26 @@ def test_unblocked_fraction_routes_agree(case):
     assert max(abs(a - b) for a, b in zip(direct, closed)) < 1e-10
 
 
+def test_heavy_load_routes_answer_beyond_the_enumeration_budget():
+    # 6x6 four-neighbour lattice: alpha = 18, and the two checkerboards
+    # are the only maximum sets, so every cell's heavy-load share is 1/2
+    side = 6
+    edges = frozenset(
+        {(v, v + 1) for v in range(1, side * side + 1) if v % side}
+        | {(v, v + side) for v in range(1, side * (side - 1) + 1)})
+    graph = ContentionGraph(n_cells=side * side, edges=edges)
+    with pytest.raises(BudgetExceededError):
+        enumerate_state_space(graph)
+    alpha = graph.independence_number((1 << side * side) - 1)
+    assert alpha == 18
+    profile = assign.infinite_load_profile(graph, (1,) * side * side)
+    assert profile == (0.5,) * side * side
+    assert math.fsum(profile) == alpha
+    x = multicell.unblocked_fractions_theorem1(graph, (1e9,) * side * side)
+    assert all(0.0 <= v <= 1.0 for v in x)
+    assert math.fsum(x) == pytest.approx(alpha, rel=1e-6)
+
+
 def test_unblocked_routes_agree_on_solved_fixtures(all_sat):
     for solved in all_sat.values():
         direct = solved.solution.x
@@ -277,7 +297,10 @@ def test_large_rho_limits():
 
 def test_cell_throughputs_scale_standalone_rates():
     cells = (CellSpec(id=1, n_nodes=5), CellSpec(id=2, n_nodes=1))
-    theta_cell, theta_node = multicell.cell_throughputs((0.5, 0.25), cells, MAC)
+    theta_cell, theta_node, standalone = multicell.cell_throughputs(
+        (0.5, 0.25), cells, MAC)
+    assert standalone == (dcf.single_cell_throughput(5, MAC),
+                          dcf.single_cell_throughput(1, MAC))
     assert theta_cell[0] == pytest.approx(
         0.5 * dcf.single_cell_throughput(5, MAC), rel=1e-12)
     assert theta_node[0] == pytest.approx(theta_cell[0] / 5, rel=1e-12)

@@ -11,7 +11,6 @@ from wlancell import fixtures
 from wlancell.errors import BudgetExceededError, ConfigError
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                build_physical_graph,
-                               closed_neighborhood_subgraph,
                                enumerate_state_space, induced_subgraph,
                                logical_graph, maximal_independent_set,
                                parse_topology)
@@ -21,6 +20,10 @@ PATH4_EDGES = frozenset({(1, 2), (2, 3), (3, 4)})
 
 def path4_graph() -> ContentionGraph:
     return ContentionGraph(n_cells=4, edges=PATH4_EDGES)
+
+
+def full_mask(graph: ContentionGraph) -> int:
+    return (1 << len(graph.vertices)) - 1
 
 
 def cells_of(graph: ContentionGraph, mask: int) -> frozenset[int]:
@@ -125,14 +128,13 @@ def test_logical_graph_accepts_assignment_objects():
 
 
 def test_enumerate_path4_states():
-    family = enumerate_state_space(path4_graph())
+    graph = path4_graph()
+    family = enumerate_state_space(graph)
     assert len(family.states) == 8
     assert family.states[0] == frozenset()
-    assert family.alpha == 2
-    assert family.eta == 3
-    assert family.eta_i == (2, 1, 1, 2)
-    assert family.mis_list == (frozenset({1, 3}), frozenset({1, 4}),
-                               frozenset({2, 4}))
+    assert graph.maximum_set_profile(full_mask(graph)) == (2, 3, (2, 1, 1, 2))
+    assert [s for s in family.states if len(s) == 2] == [
+        frozenset({1, 3}), frozenset({1, 4}), frozenset({2, 4})]
     state = frozenset({1})
     _, blocked, backoff = partition(family, family.states.index(state))
     assert blocked == frozenset({2})
@@ -140,10 +142,11 @@ def test_enumerate_path4_states():
 
 
 def test_enumerate_hex7_center_in_no_maximum_set():
-    family = enumerate_state_space(fixtures.load("hex7").graph)
-    assert family.alpha == 3
-    assert family.eta == 2
-    assert family.eta_i[0] == 0  # the centre cell
+    graph = fixtures.load("hex7").graph
+    alpha, eta, eta_i = graph.maximum_set_profile(full_mask(graph))
+    assert alpha == 3
+    assert eta == 2
+    assert eta_i[0] == 0  # the centre cell
 
 
 @given(graph=graphs())
@@ -160,7 +163,22 @@ def test_states_partition_and_mis_counts(graph):
         assert not (state & blocked or state & backoff or blocked & backoff)
     # the empty set and every singleton are always independent
     assert len(family.states) >= len(verts) + 1
-    assert sum(family.eta_i) == family.alpha * family.eta
+    alpha, eta, eta_i = graph.maximum_set_profile(full_mask(graph))
+    assert sum(eta_i) == alpha * eta
+
+
+@given(data=st.data())
+def test_maximum_set_profile_matches_brute_force(data):
+    graph = data.draw(graphs())
+    full = full_mask(graph)
+    masks = enumerate_state_space(graph).masks
+    for mask in (full, data.draw(st.integers(min_value=0, max_value=full))):
+        inside = [m for m in masks if not m & ~mask]
+        alpha = max(m.bit_count() for m in inside)
+        largest = [m for m in inside if m.bit_count() == alpha]
+        eta_i = tuple(sum(m >> k & 1 for m in largest)
+                      for k in range(len(graph.vertices)))
+        assert graph.maximum_set_profile(mask) == (alpha, len(largest), eta_i)
 
 
 def test_enumeration_budgets():
@@ -176,14 +194,6 @@ def test_induced_subgraph_keeps_ids():
     assert sub.edges == frozenset({(1, 2)})
     with pytest.raises(ConfigError):
         induced_subgraph(path4_graph(), [1, 9])
-
-
-def test_closed_neighborhood_removal():
-    sub = closed_neighborhood_subgraph(path4_graph(), 2)
-    assert sub.vertices == (4,)
-    assert sub.edges == frozenset()
-    with pytest.raises(ConfigError):
-        closed_neighborhood_subgraph(path4_graph(), 9)
 
 
 def test_greedy_maximal_set_follows_order():
