@@ -34,7 +34,7 @@ from pathlib import Path
 from . import assign as assign_mod
 from . import ctmc, dcf, fixtures, multicell
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
-from .topology import ParsedTopology, logical_graph, parse_topology
+from .topology import ParsedTopology, parse_topology
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -316,8 +316,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sweep_col = "rho_factor"
         for factor in _parse_factors(args.rho_factors):
             rho = tuple(r * factor for r in sol.rho)
-            _, gamma, _, x = multicell.evaluate_law(
-                sol.family, sol.beta, rho, cells_eff)
+            gamma, _, x = multicell.evaluate_law(
+                problem.graph, sol.beta, rho, cells_eff)
             row = {sweep_col: factor}
             row.update(zip(gamma_cols, gamma))
             row.update(zip(x_cols, x))

@@ -20,15 +20,22 @@ rate, so the network is solved as one fixed point:
 3. From that distribution each cell reads off its conditional collision
    probability ``gamma_i`` (averaging over the states where it is actually
    counting down backoff, since those are the only moments it can attempt)
-   and maps it back to a fresh ``beta_i``.
+   and maps it back to a fresh ``beta_i``.  Because the law is product
+   form, these averages are ratios of weighted sums over independent
+   sets, which `evaluate_law` computes by memoised branching on one cell
+   at a time instead of walking the state list.
 
 Damped iteration of (1)-(3) converges to the operating point.  The
 fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
-throughput into its networked throughput.  ``x_i`` also has a closed form
-in terms of two independent-set partition sums (Theorem 1), which
-`unblocked_fractions_theorem1` computes without the state enumeration;
-both routes agree to near machine precision, which makes a handy
-self-check.
+throughput into its networked throughput.  It has a closed form in terms
+of two independent-set partition sums (Theorem 1), ``x_i = (1 + rho_i) *
+Z_i / Z``, which `evaluate_law` and `unblocked_fractions_theorem1` use.
+The per-state kernels over the enumerated states
+(`stationary_distribution`, `collision_probabilities`,
+`unblocked_fractions_direct`) are the cross-check: both routes agree to
+near machine precision.  The solver still enumerates the states once, to
+enforce the enumeration budget and to report the stationary law ``pi``
+at the solution.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import dcf
 from .errors import ConfigError, ConvergenceError
@@ -225,32 +232,19 @@ def unblocked_fractions_direct(family: IndependentSetFamily,
     return tuple(math.fsum(t) for t in terms)
 
 
-def evaluate_law(family: IndependentSetFamily, beta: Sequence[float],
-                 rho: Sequence[float], cells: Sequence[CellSpec]
-                 ) -> tuple[dict[frozenset[int], float], tuple[float, ...],
-                            tuple[bool, ...], tuple[float, ...]]:
-    """Stationary law and what the solver reads off it, at ``beta``, ``rho``.
+def _partition_sum(graph: ContentionGraph, rho: Sequence[float]
+                   ) -> tuple[Callable[[int], float], float]:
+    """``(Z, Z(full))``: the weighted independent-set sum within a bitmask.
 
-    Returns ``(pi, gamma, starved, x)``.
+    ``Z(mask) = Z(rest) + rho_low * Z(rest minus low's neighbours)``,
+    branching on the lowest cell, memoised for this call only.  ``rho``
+    is aligned with ``graph.vertices``.  Raises ConfigError when the sum
+    over the whole graph overflows.
     """
-    pi = stationary_distribution(family, rho)
-    gamma, starved = collision_probabilities(family, pi, beta, cells)
-    return pi, gamma, starved, unblocked_fractions_direct(family, pi)
-
-
-def unblocked_fractions_theorem1(graph: ContentionGraph,
-                                 rho: Sequence[float]) -> tuple[float, ...]:
-    """Closed-form unblocked fractions from partition-sum ratios.
-
-    ``x_i = (1 + rho_i) * Z_i / Z`` where ``Z`` sums independent-set
-    weights over the whole graph and ``Z_i`` over the graph with cell
-    ``i``'s closed neighbourhood deleted, each branching on the lowest
-    cell as ``Z(rest) + rho_low * Z(rest minus low's neighbours)``.  Kept
-    apart from the state enumeration as an independent route for validation.
-    """
-    verts = graph.vertices
-    if len(rho) != len(verts):
+    if len(rho) != len(graph.vertices):
         raise ConfigError("rho must align with the graph vertices")
+    if any(r < 0 for r in rho):
+        raise ConfigError("occupation ratios must be non-negative")
     nbr = graph.nbr_masks
 
     @cache
@@ -262,10 +256,84 @@ def unblocked_fractions_theorem1(graph: ContentionGraph,
         rest = mask ^ low
         return z(rest) + rho[k] * z(rest & ~nbr[k])
 
-    full = (1 << len(verts)) - 1
-    z_full = z(full)
+    z_full = z((1 << len(graph.vertices)) - 1)
+    if not math.isfinite(z_full):
+        raise ConfigError("occupation ratios overflow the partition sum")
+    return z, z_full
+
+
+def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
+                 rho: Sequence[float], cells: Sequence[CellSpec]
+                 ) -> tuple[tuple[float, ...], tuple[bool, ...],
+                            tuple[float, ...]]:
+    """What the solver reads off the stationary law at ``beta``, ``rho``.
+
+    Returns ``(gamma, starved, x)`` as ratios of partition sums, without
+    the state enumeration.  Cell ``k`` is in backoff exactly in the
+    states drawn from ``m_k``, the cells that are neither ``k`` nor its
+    neighbours, so its backoff mass is ``Z(m_k) / Z`` and
+    ``x_k = (1 + rho_k) * Z(m_k) / Z``.  Below `STARVATION_FLOOR` of
+    backoff mass the cell is starved and ``gamma_k = 1``; otherwise
+    ``gamma_k = H_k(m_k) / Z(m_k)``, where ``H_k`` branches like ``Z``,
+    tracking which of ``k``'s neighbours the chosen cells block, and ends
+    in `collision_probabilities`' per-state term.  Every weight is
+    positive, so no digits cancel.  ``beta`` and ``rho`` are aligned with
+    ``graph.vertices``; ``cells`` give the station counts by id.
+    """
+    z, z_full = _partition_sum(graph, rho)
+    nbr = graph.nbr_masks
+    n_by_id = {c.id: c.n_nodes for c in cells}
+    n_nodes = [n_by_id[v] for v in graph.vertices]
+    silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
+    silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
+    full = (1 << len(graph.vertices)) - 1
+    gamma, starved, x = [], [], []
+    for k in range(len(graph.vertices)):
+        others = full & ~(nbr[k] | 1 << k)
+        z_k = z(others)
+        x.append((1.0 + rho[k]) * z_k / z_full)
+        starved.append(z_k / z_full < STARVATION_FLOOR)
+        gamma.append(1.0 if starved[-1]
+                     else _collision_sum(nbr, rho, silent_own[k],
+                                         silent_cell, k, others) / z_k)
+    return tuple(gamma), tuple(starved), tuple(x)
+
+
+def _collision_sum(nbr: Sequence[int], rho: Sequence[float],
+                   silent_own: float, silent_cell: Sequence[float], k: int,
+                   mask: int) -> float:
+    """``H_k(mask)``: the independent sets within ``mask``, each weighted
+    by its ``rho`` product and by cell ``k``'s collision odds there."""
+    nbr_k = nbr[k]
+
+    @cache
+    def h(mask: int, flags: int) -> float:
+        if not mask:
+            silent_nbrs = math.prod(silent_cell[j] for j in bits(nbr_k & ~flags))
+            return 1.0 - silent_own * silent_nbrs
+        low = mask & -mask
+        j = low.bit_length() - 1
+        rest = mask ^ low
+        return (h(rest, flags)
+                + rho[j] * h(rest & ~nbr[j], flags | (nbr[j] & nbr_k)))
+
+    return h(mask, 0)
+
+
+def unblocked_fractions_theorem1(graph: ContentionGraph,
+                                 rho: Sequence[float]) -> tuple[float, ...]:
+    """Closed-form unblocked fractions from partition-sum ratios.
+
+    ``x_i = (1 + rho_i) * Z_i / Z`` where ``Z`` sums independent-set
+    weights over the whole graph and ``Z_i`` over the graph with cell
+    ``i``'s closed neighbourhood deleted (see `_partition_sum`).  Raises
+    ConfigError when ``Z`` overflows.
+    """
+    z, z_full = _partition_sum(graph, rho)
+    nbr = graph.nbr_masks
+    full = (1 << len(graph.vertices)) - 1
     return tuple((1.0 + rho[k]) * z(full & ~(nbr[k] | 1 << k)) / z_full
-                 for k in range(len(verts)))
+                 for k in range(len(graph.vertices)))
 
 
 def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
@@ -347,8 +415,7 @@ def solve_fixed_point(problem: MultiCellProblem, *,
     converged_at = None
     for iteration in range(1, max_iter + 1):
         _, _, rho = rates(beta)
-        pi = stationary_distribution(family, rho)
-        gamma, _ = collision_probabilities(family, pi, beta, cells)
+        gamma, _, _ = evaluate_law(problem.graph, beta, rho, cells)
         target = tuple(dcf.attempt_prob_G(g, mac) for g in gamma)
         beta_next = tuple((1.0 - damping) * b + damping * t
                           for b, t in zip(beta, target))
@@ -365,7 +432,8 @@ def solve_fixed_point(problem: MultiCellProblem, *,
             residual=residual, iterations=max_iter, history=history[-10:])
 
     lam, mu_inv, rho = rates(beta)
-    pi, gamma, starved, x = evaluate_law(family, beta, rho, cells)
+    gamma, starved, x = evaluate_law(problem.graph, beta, rho, cells)
+    pi = stationary_distribution(family, rho)
     theta_cell, theta_node, standalone = cell_throughputs(x, cells, mac)
     return FixedPointSolution(
         beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, pi=pi,

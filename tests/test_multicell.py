@@ -215,6 +215,86 @@ def test_unblocked_routes_agree_on_solved_fixtures(all_sat):
         assert max(abs(a - b) for a, b in zip(direct, closed)) < 1e-12
 
 
+@st.composite
+def law_cases(draw, max_cells: int = 12):
+    """A random graph on shuffled ids with heterogeneous cells and loads.
+
+    Edges are drawn between positions, then the positions get a random
+    subset of ``1..2 * max_cells`` as ids, so bit order differs from
+    the drawn structure.  Occupation ratios are ``r_i * 10**e`` with
+    ``r_i`` in [0.1, 10] and ``e`` from -3 up to 150, capped so that the
+    heaviest state weight stays below 1e280 and no stationary
+    probability of the kernels goes subnormal.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_cells))
+    ids = draw(st.permutations(range(1, 2 * max_cells + 1)))[:n]
+    links = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = frozenset((ids[i], ids[j])
+                      for (i, j), linked in zip(pairs, links) if linked)
+    graph = ContentionGraph(n_cells=2 * max_cells, edges=edges,
+                            vertices=tuple(ids))
+    alpha = graph.independence_number((1 << n) - 1)
+    exponent = draw(st.floats(min_value=-3.0,
+                              max_value=min(150.0, 280.0 / alpha - 1.0)))
+    rho = tuple(r * 10.0 ** exponent for r in draw(st.lists(
+        st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n)))
+    beta = tuple(draw(st.lists(st.floats(min_value=0.0, max_value=0.5),
+                               min_size=n, max_size=n)))
+    n_nodes = draw(st.lists(st.integers(min_value=1, max_value=10),
+                            min_size=n, max_size=n))
+    cells = tuple(CellSpec(id=v, n_nodes=k)
+                  for v, k in zip(graph.vertices, n_nodes))
+    return graph, beta, rho, cells
+
+
+@settings(deadline=None)
+@given(case=law_cases())
+def test_partition_sum_law_matches_enumeration_kernels(case):
+    graph, beta, rho, cells = case
+    gamma, starved, x = multicell.evaluate_law(graph, beta, rho, cells)
+    family = enumerate_state_space(graph)
+    pi = multicell.stationary_distribution(family, rho)
+    ref_gamma, ref_starved = multicell.collision_probabilities(
+        family, pi, beta, cells)
+    ref_x = multicell.unblocked_fractions_direct(family, pi)
+    assert starved == ref_starved
+    for got, want in zip(gamma + x, ref_gamma + ref_x):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [1e153, 1e300])
+def test_partition_sums_raise_on_overflow(path4_sat, factor):
+    s = path4_sat.solution
+    graph = path4_sat.parsed.graph
+    rho = tuple(r * factor for r in s.rho)
+    with pytest.raises(ConfigError, match="overflow"):
+        multicell.unblocked_fractions_theorem1(graph, rho)
+    with pytest.raises(ConfigError, match="overflow"):
+        multicell.evaluate_law(graph, s.beta, rho, path4_sat.parsed.cells)
+
+
+def test_solver_matches_kernels_on_the_5x5_lattice():
+    # 55,447 independent sets: the solver iterates on partition sums,
+    # the kernels walk every state once at the solved operating point
+    side = 5
+    edges = frozenset(
+        {(v, v + 1) for v in range(1, side * side + 1) if v % side}
+        | {(v, v + side) for v in range(1, side * (side - 1) + 1)})
+    graph = ContentionGraph(n_cells=side * side, edges=edges)
+    cells = tuple(CellSpec(id=v, n_nodes=1 + v % 7)
+                  for v in graph.vertices)
+    s = multicell.solve_fixed_point(MultiCellProblem(graph=graph, cells=cells))
+    assert len(s.family.states) == 55_447
+    gamma, starved = multicell.collision_probabilities(
+        s.family, s.pi, s.beta, cells)
+    x = multicell.unblocked_fractions_direct(s.family, s.pi)
+    assert s.starved == starved
+    for got, want in zip(s.gamma + s.x, gamma + x):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
 def test_collision_probability_of_isolated_cell_is_local():
     family = enumerate_state_space(ContentionGraph(n_cells=1, edges=frozenset()))
     pi = multicell.stationary_distribution(family, (3.0,))
@@ -235,6 +315,11 @@ def test_starved_cell_is_flagged_and_pinned():
     assert starved == (False, True, False)
     assert gammas[1] == 1.0
     assert gammas[0] == pytest.approx(1 - 0.95 ** 4, rel=1e-9)
+    law_gammas, law_starved, _ = multicell.evaluate_law(
+        graph, (0.05,) * 3, (1e154,) * 3, path_cells(3))
+    assert law_starved == starved
+    assert law_gammas[1] == 1.0
+    assert law_gammas[0] == pytest.approx(gammas[0], rel=1e-12)
 
 
 def test_solved_path4_frozen(path4_sat):
