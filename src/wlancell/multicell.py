@@ -286,6 +286,24 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
     n_nodes = [n_by_id[v] for v in graph.vertices]
     silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
     silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
+    # (bit, silence) of each neighbour, in the kernel's ascending order
+    nbr_silence = [[(1 << j, silent_cell[j]) for j in bits(m)] for m in nbr]
+
+    @cache
+    def h(k: int, mask: int, flags: int) -> float:
+        # H_k(mask): independent sets within mask, each weighted by its
+        # rho product and by cell k's collision odds there; flags are the
+        # neighbours of k that the chosen cells block
+        if not mask:
+            silent_nbrs = math.prod(s for b, s in nbr_silence[k]
+                                    if not flags & b)
+            return 1.0 - silent_own[k] * silent_nbrs
+        low = mask & -mask
+        j = low.bit_length() - 1
+        rest = mask ^ low
+        return (h(k, rest, flags)
+                + rho[j] * h(k, rest & ~nbr[j], flags | (nbr[j] & nbr[k])))
+
     full = (1 << len(graph.vertices)) - 1
     gamma, starved, x = [], [], []
     for k in range(len(graph.vertices)):
@@ -293,31 +311,8 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
         z_k = z(others)
         x.append((1.0 + rho[k]) * z_k / z_full)
         starved.append(z_k / z_full < STARVATION_FLOOR)
-        gamma.append(1.0 if starved[-1]
-                     else _collision_sum(nbr, rho, silent_own[k],
-                                         silent_cell, k, others) / z_k)
+        gamma.append(1.0 if starved[-1] else h(k, others, 0) / z_k)
     return tuple(gamma), tuple(starved), tuple(x)
-
-
-def _collision_sum(nbr: Sequence[int], rho: Sequence[float],
-                   silent_own: float, silent_cell: Sequence[float], k: int,
-                   mask: int) -> float:
-    """``H_k(mask)``: the independent sets within ``mask``, each weighted
-    by its ``rho`` product and by cell ``k``'s collision odds there."""
-    nbr_k = nbr[k]
-
-    @cache
-    def h(mask: int, flags: int) -> float:
-        if not mask:
-            silent_nbrs = math.prod(silent_cell[j] for j in bits(nbr_k & ~flags))
-            return 1.0 - silent_own * silent_nbrs
-        low = mask & -mask
-        j = low.bit_length() - 1
-        rest = mask ^ low
-        return (h(rest, flags)
-                + rho[j] * h(rest & ~nbr[j], flags | (nbr[j] & nbr_k)))
-
-    return h(mask, 0)
 
 
 def unblocked_fractions_theorem1(graph: ContentionGraph,

@@ -37,6 +37,14 @@ def graphs_with_rho(draw, max_cells: int = 8):
     return ContentionGraph(n_cells=n, edges=frozenset(edges)), tuple(rho)
 
 
+def lattice_graph(side: int) -> ContentionGraph:
+    """Four-neighbour ``side`` x ``side`` lattice, ids in row-major order."""
+    edges = frozenset(
+        {(v, v + 1) for v in range(1, side * side + 1) if v % side}
+        | {(v, v + side) for v in range(1, side * (side - 1) + 1)})
+    return ContentionGraph(n_cells=side * side, edges=edges)
+
+
 def path_cells(n: int, n_nodes: int = 5) -> tuple[CellSpec, ...]:
     return tuple(CellSpec(id=i, n_nodes=n_nodes) for i in range(1, n + 1))
 
@@ -191,10 +199,7 @@ def test_heavy_load_routes_answer_beyond_the_enumeration_budget():
     # 6x6 four-neighbour lattice: alpha = 18, and the two checkerboards
     # are the only maximum sets, so every cell's heavy-load share is 1/2
     side = 6
-    edges = frozenset(
-        {(v, v + 1) for v in range(1, side * side + 1) if v % side}
-        | {(v, v + side) for v in range(1, side * (side - 1) + 1)})
-    graph = ContentionGraph(n_cells=side * side, edges=edges)
+    graph = lattice_graph(side)
     with pytest.raises(BudgetExceededError):
         enumerate_state_space(graph)
     alpha = graph.independence_number((1 << side * side) - 1)
@@ -278,11 +283,7 @@ def test_partition_sums_raise_on_overflow(path4_sat, factor):
 def test_solver_matches_kernels_on_the_5x5_lattice():
     # 55,447 independent sets: the solver iterates on partition sums,
     # the kernels walk every state once at the solved operating point
-    side = 5
-    edges = frozenset(
-        {(v, v + 1) for v in range(1, side * side + 1) if v % side}
-        | {(v, v + side) for v in range(1, side * (side - 1) + 1)})
-    graph = ContentionGraph(n_cells=side * side, edges=edges)
+    graph = lattice_graph(5)
     cells = tuple(CellSpec(id=v, n_nodes=1 + v % 7)
                   for v in graph.vertices)
     s = multicell.solve_fixed_point(MultiCellProblem(graph=graph, cells=cells))
