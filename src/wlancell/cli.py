@@ -17,9 +17,9 @@ Five subcommands, one per workflow:
 
 Topology input is a JSON file (see `wlancell.topology.parse_topology` for
 the schema) or the name of a built-in fixture.  Exit codes: 0 success,
-2 configuration error, 3 solver non-convergence, 4 enumeration or search
-budget exceeded.  Output files are deterministic for a given
-configuration and seed.
+2 configuration error, 3 solver non-convergence, 4 a cell, state
+(``simulate`` only) or search budget exceeded.  Output files are
+deterministic for a given configuration and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from . import assign as assign_mod
-from . import ctmc, dcf, fixtures, multicell
+from . import ctmc, dcf, fixtures, multicell, topology
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
 from .topology import ParsedTopology, parse_topology
 
@@ -129,7 +129,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = multicell.solution_rows(problem, solution)
     cells_path = _write_table(outdir, f"{parsed.name}_cells", args.format,
                               multicell.CSV_COLUMNS, rows)
-    summary = multicell.solution_summary(solution)
+    summary = multicell.solution_summary(problem, solution)
     summary_path = _write_table(outdir, f"{parsed.name}_summary", args.format,
                                 _SUMMARY_COLUMNS, [summary])
     print(f"{parsed.name}: {problem.traffic_mode}, "
@@ -157,6 +157,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load_topology(args.input)
     problem = _problem(parsed, args)
     solution = multicell.solve_fixed_point(problem)
+    pi = multicell.stationary_distribution(
+        topology.enumerate_state_space(parsed.graph), solution.rho)
     lam, mu = ctmc.rates_from_solution(solution)
     cfg = ctmc.SimConfig(horizon=args.horizon, seed=args.seed,
                          warmup_fraction=args.warmup,
@@ -182,13 +184,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cells_path = outdir / f"{parsed.name}_sim_cells.csv"
     _write_csv(cells_path, _SIM_CELL_COLUMNS, cell_rows)
 
-    states = sorted(set(estimate.pi_hat) | set(solution.pi),
+    states = sorted(set(estimate.pi_hat) | set(pi),
                     key=lambda s: (len(s), tuple(sorted(s))))
     state_rows = [{
         "state": _state_label(s),
         "pi_hat": estimate.pi_hat.get(s, 0.0),
         "pi_se": pi_se.get(s, math.nan),
-        "pi_model": solution.pi.get(s, 0.0),
+        "pi_model": pi.get(s, 0.0),
     } for s in states]
     states_path = outdir / f"{parsed.name}_sim_states.csv"
     _write_csv(states_path, _SIM_STATE_COLUMNS, state_rows)

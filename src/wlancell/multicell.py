@@ -33,9 +33,7 @@ Z_i / Z``, which `evaluate_law` and `unblocked_fractions_theorem1` use.
 The per-state kernels over the enumerated states
 (`stationary_distribution`, `collision_probabilities`,
 `unblocked_fractions_direct`) are the cross-check: both routes agree to
-near machine precision.  The solver still enumerates the states once, to
-enforce the enumeration budget and to report the stationary law ``pi``
-at the solution.
+near machine precision.
 """
 
 from __future__ import annotations
@@ -46,9 +44,9 @@ from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from . import dcf
-from .errors import ConfigError, ConvergenceError
-from .topology import (CellSpec, ContentionGraph, IndependentSetFamily, bits,
-                       enumerate_state_space)
+from .errors import BudgetExceededError, ConfigError, ConvergenceError
+from .topology import (MAX_CELLS, CellSpec, ContentionGraph,
+                       IndependentSetFamily, bits)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
 
@@ -100,12 +98,11 @@ class MultiCellProblem:
 class FixedPointSolution:
     """Converged operating point of a multi-cell problem.
 
-    All per-cell tuples are aligned with cell ids 1..N.  ``pi`` maps each
-    independent set (frozenset of cell ids) to its stationary probability.
-    ``x`` is the fraction of time a cell is active or in backoff (i.e. not
-    blocked by a neighbour); ``theta_cell`` is ``x`` times ``standalone``,
-    the cell's throughput alone.  ``starved`` marks cells whose backoff
-    occupancy fell below the starvation floor, for which ``gamma`` is 1.
+    All per-cell tuples are aligned with cell ids 1..N.  ``x`` is the
+    fraction of time a cell is active or in backoff (i.e. not blocked by a
+    neighbour); ``theta_cell`` is ``x`` times ``standalone``, the cell's
+    throughput alone.  ``starved`` marks cells whose backoff occupancy
+    fell below the starvation floor, for which ``gamma`` is 1.
     """
 
     beta: tuple[float, ...]
@@ -113,7 +110,6 @@ class FixedPointSolution:
     lam: tuple[float, ...]
     mu_inv: tuple[float, ...]
     rho: tuple[float, ...]
-    pi: Mapping[frozenset[int], float]
     x: tuple[float, ...]
     theta_cell: tuple[float, ...]
     theta_node: tuple[float, ...]
@@ -122,7 +118,6 @@ class FixedPointSolution:
     iterations: int
     residual: float
     starved: tuple[bool, ...]
-    family: IndependentSetFamily = field(repr=False)
 
 
 def effective_configuration(problem: MultiCellProblem
@@ -312,6 +307,10 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
         x.append((1.0 + rho[k]) * z_k / z_full)
         starved.append(z_k / z_full < STARVATION_FLOOR)
         gamma.append(1.0 if starved[-1] else h(k, others, 0) / z_k)
+    # each memo's closure refers to itself: empty them now rather than
+    # leave them to the cyclic garbage collector
+    z.cache_clear()
+    h.cache_clear()
     return tuple(gamma), tuple(starved), tuple(x)
 
 
@@ -327,8 +326,10 @@ def unblocked_fractions_theorem1(graph: ContentionGraph,
     z, z_full = _partition_sum(graph, rho)
     nbr = graph.nbr_masks
     full = (1 << len(graph.vertices)) - 1
-    return tuple((1.0 + rho[k]) * z(full & ~(nbr[k] | 1 << k)) / z_full
-                 for k in range(len(graph.vertices)))
+    x = tuple((1.0 + rho[k]) * z(full & ~(nbr[k] | 1 << k)) / z_full
+              for k in range(len(graph.vertices)))
+    z.cache_clear()
+    return x
 
 
 def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
@@ -349,7 +350,7 @@ def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
     return theta_cell, theta_node, standalone
 
 
-def large_rho_limits(family: IndependentSetFamily
+def large_rho_limits(graph: ContentionGraph
                      ) -> tuple[tuple[float, ...], float]:
     """Heavy-load limits: per-cell unblocked fractions and their sum.
 
@@ -358,8 +359,8 @@ def large_rho_limits(family: IndependentSetFamily
     fraction tends to the share of maximum independent sets containing it,
     and the network-wide sum tends to the independence number.
     """
-    full = (1 << len(family.graph.vertices)) - 1
-    alpha, eta, eta_i = family.graph.maximum_set_profile(full)
+    full = (1 << len(graph.vertices)) - 1
+    alpha, eta, eta_i = graph.maximum_set_profile(full)
     return tuple(ei / eta for ei in eta_i), float(alpha)
 
 
@@ -386,12 +387,15 @@ def solve_fixed_point(problem: MultiCellProblem, *,
     Damped iteration on the per-cell attempt probabilities, started from
     the collision-free value.  Stops when the largest per-cell update
     falls below ``tol``; raises ConvergenceError (with residual and the
-    tail of the iterate history) otherwise.
+    tail of the iterate history) otherwise.  Networks of more than
+    `MAX_CELLS` cells raise BudgetExceededError.
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"damping must lie in (0, 1], got {damping}")
+    if len(problem.cells) > MAX_CELLS:
+        raise BudgetExceededError(
+            f"{len(problem.cells)} cells exceeds the limit of {MAX_CELLS}")
     cells, mac = effective_configuration(problem)
-    family = enumerate_state_space(problem.graph)
     t_success, t_collision = dcf.frame_durations(mac)
     sigma = mac.slot_time
     n_nodes = [c.n_nodes for c in cells]
@@ -428,21 +432,19 @@ def solve_fixed_point(problem: MultiCellProblem, *,
 
     lam, mu_inv, rho = rates(beta)
     gamma, starved, x = evaluate_law(problem.graph, beta, rho, cells)
-    pi = stationary_distribution(family, rho)
     theta_cell, theta_node, standalone = cell_throughputs(x, cells, mac)
     return FixedPointSolution(
-        beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, pi=pi,
-        x=x, theta_cell=theta_cell, theta_node=theta_node,
+        beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, x=x,
+        theta_cell=theta_cell, theta_node=theta_node,
         standalone=standalone, theta_bar=math.fsum(x),
-        iterations=converged_at, residual=residual, starved=starved,
-        family=family)
+        iterations=converged_at, residual=residual, starved=starved)
 
 
 def solution_rows(problem: MultiCellProblem,
                   solution: FixedPointSolution) -> list[dict]:
     """Per-cell result rows in `CSV_COLUMNS` order (as a list of dicts)."""
     cells, _ = effective_configuration(problem)
-    x_inf, _ = large_rho_limits(solution.family)
+    x_inf, _ = large_rho_limits(problem.graph)
     rows = []
     for k, cell in enumerate(cells):
         n = cell.n_nodes
@@ -460,9 +462,10 @@ def solution_rows(problem: MultiCellProblem,
     return rows
 
 
-def solution_summary(solution: FixedPointSolution) -> dict:
+def solution_summary(problem: MultiCellProblem,
+                     solution: FixedPointSolution) -> dict:
     """Network-level scalars: total unblocked share, fairness, MIS stats."""
-    graph = solution.family.graph
+    graph = problem.graph
     alpha, eta, _ = graph.maximum_set_profile((1 << len(graph.vertices)) - 1)
     return {
         "theta_bar": solution.theta_bar,

@@ -33,6 +33,9 @@ from .errors import BudgetExceededError, ConfigError, check_number
 
 _GRAPH_KINDS = ("physical", "logical")
 
+#: Most cells the solver and the enumeration accept (BudgetExceededError).
+MAX_CELLS = 25
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -166,9 +169,6 @@ class ContentionGraph:
             masks[label] = masks.get(label, 0) | 1 << k
         return masks.values()
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self) -> int:
         """Maximum vertex degree (0 for an edgeless graph)."""
         return max((len(s) for s in self.adjacency.values()), default=0)
@@ -240,7 +240,7 @@ def logical_graph(physical: ContentionGraph,
 
 
 def enumerate_state_space(graph: ContentionGraph, *,
-                          max_cells: int = 25,
+                          max_cells: int = MAX_CELLS,
                           max_states: int = 10_000_000) -> IndependentSetFamily:
     """Enumerate every independent set of ``graph`` and classify each state.
 

@@ -10,7 +10,7 @@ import pytest
 
 from wlancell import fixtures, multicell
 from wlancell.multicell import FixedPointSolution, MultiCellProblem
-from wlancell.topology import ParsedTopology
+from wlancell.topology import ParsedTopology, enumerate_state_space
 
 
 class Solved(NamedTuple):
@@ -24,6 +24,14 @@ def solve_fixture(name: str, traffic_mode: str = "saturated") -> Solved:
     problem = MultiCellProblem(graph=parsed.graph, cells=parsed.cells,
                                traffic_mode=traffic_mode)
     return Solved(parsed, problem, multicell.solve_fixed_point(problem))
+
+
+def stationary_law(solved: Solved):
+    """``(family, pi)``: the enumerated states of a solved topology and
+    the stationary law over them at the solved occupation ratios."""
+    family = enumerate_state_space(solved.problem.graph)
+    return family, multicell.stationary_distribution(family,
+                                                     solved.solution.rho)
 
 
 @pytest.fixture(scope="session")

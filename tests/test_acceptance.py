@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from wlancell import assign, ctmc, dcf, fixtures, multicell, topology
-from conftest import solve_fixture
+from conftest import solve_fixture, stationary_law
 
 MAC = dcf.MacParams()
 
@@ -175,9 +175,9 @@ _SIM_HORIZON = 35.0
 _SIM_REPS = 10
 
 
-def _sim_z_scores(rep, solution):
+def _sim_z_scores(rep, solution, pi):
     pi_z = []
-    for state, p_model in solution.pi.items():
+    for state, p_model in pi.items():
         p_hat = rep.mean.pi_hat.get(state, 0.0)
         se = rep.pi_se.get(state, 0.0)
         pi_z.append(abs(p_hat - p_model) / se if se > 0
@@ -193,18 +193,20 @@ def test_criterion_05_simulation_cross_check(all_sat):
     details = []
     for name in ("path4", "hex7", "arbitrary7"):
         parsed, _, solution = all_sat[name]
+        _, pi = stationary_law(all_sat[name])
         lam, mu = ctmc.rates_from_solution(solution)
         rep = ctmc.simulate_replicated(
             parsed.graph, lam, mu,
             ctmc.SimConfig(horizon=_SIM_HORIZON, seed=_SIM_SEED), _SIM_REPS)
         reps[name] = rep
-        pi_z, x_z = _sim_z_scores(rep, solution)
+        pi_z, x_z = _sim_z_scores(rep, solution, pi)
         ok &= pi_z < 3 and x_z < 3 and rep.mean.total_events >= 1_000_000
         details.append(f"{name} {rep.mean.total_events} events "
                        f"pi_z {pi_z:.2f} x_z {x_z:.2f}")
 
     # Insensitivity: deterministic occupation times give the same law.
     parsed, _, solution = all_sat["path4"]
+    _, pi = stationary_law(all_sat["path4"])
     lam, mu = ctmc.rates_from_solution(solution)
     det = ctmc.simulate_replicated(
         parsed.graph, lam, mu,
@@ -212,11 +214,11 @@ def test_criterion_05_simulation_cross_check(all_sat):
                        active_time_distribution="deterministic"), _SIM_REPS)
     exp = reps["path4"]
     cross_z = []
-    for state in solution.pi:
+    for state in pi:
         gap = abs(exp.mean.pi_hat.get(state, 0.0) - det.mean.pi_hat.get(state, 0.0))
         se = math.hypot(exp.pi_se.get(state, 0.0), det.pi_se.get(state, 0.0))
         cross_z.append(gap / se if se > 0 else (0.0 if gap == 0 else math.inf))
-    det_pi_z, det_x_z = _sim_z_scores(det, solution)
+    det_pi_z, det_x_z = _sim_z_scores(det, solution, pi)
     ok &= max(cross_z) < 3 and det_pi_z < 3 and det_x_z < 3
     details.append(f"det-vs-exp z {max(cross_z):.2f}, det-vs-model z "
                    f"{det_pi_z:.2f}")
@@ -231,12 +233,12 @@ def test_criterion_06_detailed_balance(all_sat):
     transitions = 0
     for solved in all_sat.values():
         solution = solved.solution
-        family = solution.family
+        family, pi = stationary_law(solved)
         mu = tuple(1.0 / m for m in solution.mu_inv)
         for state, free in zip(family.states, family.free):
             for cell in (family.graph.vertices[k] for k in topology.bits(free)):
-                flow_up = solution.pi[state] * solution.lam[cell - 1]
-                flow_down = solution.pi[state | {cell}] * mu[cell - 1]
+                flow_up = pi[state] * solution.lam[cell - 1]
+                flow_down = pi[state | {cell}] * mu[cell - 1]
                 rel = abs(flow_up - flow_down) / max(flow_up, flow_down)
                 worst = max(worst, rel)
                 transitions += 1

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from wlancell import cli, dcf, multicell
+from wlancell import cli, dcf, multicell, topology
 from wlancell.errors import ConvergenceError
 from wlancell.fixtures import write_fixture_files
 
@@ -149,6 +149,28 @@ def test_oversized_topology_maps_to_exit_4(tmp_path, capsys):
     path.write_text(json.dumps(topo))
     assert _run("analyze", "--input", str(path), "--out", str(tmp_path)) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _solver_outputs(outdir):
+    for argv in (("analyze",),
+                 ("sweep", "--sweep", "payload", "--payload-bytes",
+                  "500:1500:500"),
+                 ("sweep", "--sweep", "rho")):
+        assert _run(*argv, "--input", "hex7", "--out", str(outdir)) == 0
+    return {path.name: path.read_text() for path in outdir.iterdir()}
+
+
+def test_solving_never_enumerates_the_states(tmp_path, monkeypatch):
+    expected = _solver_outputs(tmp_path / "free")
+    assert len(expected) == 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver enumerated the state space")
+
+    monkeypatch.setattr(topology, "enumerate_state_space", refuse)
+    monkeypatch.setattr(multicell, "enumerate_state_space", refuse,
+                        raising=False)
+    assert _solver_outputs(tmp_path / "refused") == expected
 
 
 # --------------------------------------------------------------- simulate

@@ -1,5 +1,6 @@
 """Coupled multi-cell fixed point and the product-form stationary law."""
 
+import gc
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                enumerate_state_space)
 
-from conftest import solve_fixture
+from conftest import solve_fixture, stationary_law
 
 MAC = dcf.MacParams()
 
@@ -287,13 +288,29 @@ def test_solver_matches_kernels_on_the_5x5_lattice():
     cells = tuple(CellSpec(id=v, n_nodes=1 + v % 7)
                   for v in graph.vertices)
     s = multicell.solve_fixed_point(MultiCellProblem(graph=graph, cells=cells))
-    assert len(s.family.states) == 55_447
+    family = enumerate_state_space(graph)
+    pi = multicell.stationary_distribution(family, s.rho)
+    assert len(family.states) == 55_447
     gamma, starved = multicell.collision_probabilities(
-        s.family, s.pi, s.beta, cells)
-    x = multicell.unblocked_fractions_direct(s.family, s.pi)
+        family, pi, s.beta, cells)
+    x = multicell.unblocked_fractions_direct(family, pi)
     assert s.starved == starved
     for got, want in zip(s.gamma + s.x, gamma + x):
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_law_memos_are_freed_on_return():
+    # a memo left filled is reference-cycle garbage: its closure refers
+    # to itself, so only the cyclic collector would reclaim it
+    graph = lattice_graph(5)
+    cells = tuple(CellSpec(id=v, n_nodes=1 + v % 7) for v in graph.vertices)
+    gc.collect()
+    gc.disable()
+    try:
+        multicell.evaluate_law(graph, (0.05,) * 25, (1.0,) * 25, cells)
+        assert gc.collect() < 1000
+    finally:
+        gc.enable()
 
 
 def test_collision_probability_of_isolated_cell_is_local():
@@ -333,7 +350,8 @@ def test_solved_path4_frozen(path4_sat):
     assert s.x[:2] == pytest.approx(PATH4_X, rel=1e-9)
     assert s.theta_node[:2] == pytest.approx(PATH4_THETA_NODE, rel=1e-9)
     assert s.theta_bar == pytest.approx(PATH4_THETA_BAR, rel=1e-9)
-    assert s.pi[frozenset()] == pytest.approx(PATH4_PI_EMPTY, rel=1e-9)
+    _, pi = stationary_law(path4_sat)
+    assert pi[frozenset()] == pytest.approx(PATH4_PI_EMPTY, rel=1e-9)
     assert s.iterations == 17
     assert s.residual < 1e-10
     assert not any(s.starved)
@@ -355,8 +373,8 @@ def test_extra_contention_edge_reduces_capacity(path4_sat):
 
 
 def test_scaled_rho_approaches_maximum_set_shares(path4_sat):
-    family = path4_sat.solution.family
-    x_inf, alpha = multicell.large_rho_limits(family)
+    family = enumerate_state_space(path4_sat.parsed.graph)
+    x_inf, alpha = multicell.large_rho_limits(family.graph)
     # a common scale factor on uniform ratios lands on the per-cell shares
     pi = multicell.stationary_distribution(family, (1e6,) * 4)
     x = multicell.unblocked_fractions_direct(family, pi)
@@ -369,13 +387,13 @@ def test_scaled_rho_approaches_maximum_set_shares(path4_sat):
 
 
 def test_large_rho_limits():
-    path4 = enumerate_state_space(
-        ContentionGraph(n_cells=4, edges=frozenset({(1, 2), (2, 3), (3, 4)})))
+    path4 = ContentionGraph(n_cells=4,
+                            edges=frozenset({(1, 2), (2, 3), (3, 4)}))
     assert multicell.large_rho_limits(path4) == (
         pytest.approx((2 / 3, 1 / 3, 1 / 3, 2 / 3)), 2.0)
-    arb7 = enumerate_state_space(ContentionGraph(
+    arb7 = ContentionGraph(
         n_cells=7,
-        edges=frozenset({(1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)})))
+        edges=frozenset({(1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)}))
     x_inf, alpha = multicell.large_rho_limits(arb7)
     assert x_inf == pytest.approx((1.0, 1.0, 0.0, 1 / 3, 2 / 3, 1 / 3, 2 / 3))
     assert alpha == 4.0
@@ -424,7 +442,8 @@ def test_solution_rows_and_summary(path4_sat):
     theta_1 = dcf.single_cell_throughput(5, MAC) / 5
     assert rows[0]["x_inf"] == pytest.approx(2 / 3)
     assert rows[0]["theta_node_inf"] == pytest.approx(2 / 3 * theta_1, rel=1e-12)
-    summary = multicell.solution_summary(path4_sat.solution)
+    summary = multicell.solution_summary(path4_sat.problem,
+                                         path4_sat.solution)
     assert summary["alpha"] == 2
     assert summary["eta"] == 3
     assert summary["n_starved"] == 0

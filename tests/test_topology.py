@@ -67,7 +67,7 @@ def test_graph_normalizes_edges():
     g = ContentionGraph(n_cells=3, edges=frozenset({(2, 1), (1, 2), (3, 2)}))
     assert g.edges == frozenset({(1, 2), (2, 3)})
     assert g.vertices == (1, 2, 3)
-    assert g.neighbors(2) == frozenset({1, 3})
+    assert g.adjacency[2] == frozenset({1, 3})
     assert g.degree() == 2
 
 
