@@ -37,8 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
-from .topology import (ContentionGraph, bits, induced_subgraph,
-                       maximal_independent_set)
+from .topology import ContentionGraph, bits
 
 #: Utility improvements below this are treated as ties when testing for
 #: Nash equilibria.
@@ -221,6 +220,8 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
     returned with ``converged=False``.  The default utility is the
     heavy-load `utility_theta_bar`, memoised per sampled assignment.
     """
+    if n_channels < 1:
+        raise ConfigError("need at least one channel")
     n = len(physical.vertices)
     if init is None:
         state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels),
@@ -262,33 +263,32 @@ def misa(physical: ContentionGraph, n_channels: int,
     """Greedy channel peeling via maximal independent sets.
 
     Channels ``1..M-1`` each take a maximal independent set of the cells
-    still unassigned (admitted in ascending id order, or in a seeded random
-    order); channel ``M`` takes whatever remains.  The result is always a
-    Nash equilibrium of the heavy-load utility.
+    still unassigned, admitting each cell unless a neighbour already
+    joined (in ascending id order, or in a seeded random order); channel
+    ``M`` takes whatever remains.  The result is always a Nash equilibrium
+    of the heavy-load utility.
     """
     if n_channels < 1:
         raise ConfigError("need at least one channel")
     if order_policy not in _ORDER_POLICIES:
         raise ConfigError(f"order_policy must be one of {_ORDER_POLICIES}")
     rng = np.random.default_rng(seed) if order_policy == "random" else None
-    remaining = list(physical.vertices)
-    channel_of: dict[int, int] = {}
+    nbr = physical.nbr_masks
+    remaining = (1 << physical.n_cells) - 1
+    channels = [n_channels] * physical.n_cells
     for ch in range(1, n_channels):
         if not remaining:
             break
-        sub = induced_subgraph(physical, remaining)
-        if rng is None:
-            order = sub.vertices
-        else:
-            order = tuple(int(v) for v in rng.permutation(sub.vertices))
-        chosen = maximal_independent_set(sub, order)
-        for v in chosen:
-            channel_of[v] = ch
-        remaining = [v for v in remaining if v not in chosen]
-    for v in remaining:
-        channel_of[v] = n_channels
-    channels = tuple(channel_of[v] for v in physical.vertices)
-    return ChannelAssignment(channels=channels, n_channels=n_channels)
+        order = list(bits(remaining))
+        if rng is not None:
+            order = map(int, rng.permutation(order))
+        chosen = 0
+        for k in order:
+            if not nbr[k] & chosen:
+                chosen |= 1 << k
+                channels[k] = ch
+        remaining ^= chosen
+    return ChannelAssignment(channels=tuple(channels), n_channels=n_channels)
 
 
 def is_nash_equilibrium(physical: ContentionGraph,
@@ -329,6 +329,8 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     so the result is deterministic.  Exceeding ``budget`` candidates raises
     BudgetExceededError before any work is done.
     """
+    if n_channels < 1:
+        raise ConfigError("need at least one channel")
     n = len(physical.vertices)
     total = n_channels ** n
     if total > budget:

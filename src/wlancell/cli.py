@@ -207,8 +207,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_assign(args: argparse.Namespace) -> int:
     parsed = _load_topology(args.input)
     physical = parsed.graph
-    n_channels = args.channels if args.channels else parsed.n_channels
-    if not n_channels:
+    n_channels = parsed.n_channels if args.channels is None else args.channels
+    if n_channels is None:
         raise ConfigError(
             "number of channels not given: pass --channels or add a "
             "'channels' field to the topology")

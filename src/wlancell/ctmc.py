@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .topology import ContentionGraph, bits
 
 _DISTRIBUTIONS = ("exponential", "deterministic")
@@ -45,7 +45,7 @@ class SimConfig:
     active_time_distribution: str = "exponential"
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
+        if check_number(self.horizon, "horizon") <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup_fraction must lie in [0, 1)")

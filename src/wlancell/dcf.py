@@ -88,6 +88,9 @@ class MacParams:
             if value < 0:
                 raise ConfigError(
                     f"{f.name} must be non-negative, got {value!r}")
+        if self.cw_min < 2:
+            # the first-stage attempt probability 2 / cw_min must not exceed 1
+            raise ConfigError(f"cw_min must be at least 2, got {self.cw_min}")
         if self.access_mode not in _ACCESS_MODES:
             raise ConfigError(
                 f"access_mode must be one of {_ACCESS_MODES}, "

@@ -143,7 +143,7 @@ def write_fixture_files(outdir: str | Path) -> list[Path]:
     return written
 
 
-def verify_grid12(budget: int = 2_000_000) -> dict[str, tuple[bool, str]]:
+def verify_grid12() -> dict[str, tuple[bool, str]]:
     """Re-derive every frozen grid12 figure from the shipped edge list.
 
     Checks, per named assignment, the aggregate heavy-load share and the
@@ -169,7 +169,7 @@ def verify_grid12(budget: int = 2_000_000) -> dict[str, tuple[bool, str]]:
         results[f"assignment_{name}"] = (
             ok, f"theta_bar={total:.6f} (want {want_total}), "
                 f"jain={jain:.6f} (want {want_jain})")
-    best, best_u = assign.exhaustive_search(graph, 3, budget=budget)
+    best, best_u = assign.exhaustive_search(graph, 3)
     opt_channels = GRID12_ASSIGNMENTS["optimal"]
     opt_u = assign.utility_theta_bar(graph, opt_channels)
     ok = abs(best_u * graph.n_cells - 8.0) < 1e-9 and abs(opt_u - best_u) < 1e-12

@@ -90,8 +90,6 @@ class MultiCellProblem:
             raise ConfigError(
                 f"graph has {self.graph.n_cells} cells, got "
                 f"{len(self.cells)} cell specs")
-        if self.graph.vertices != tuple(range(1, len(self.cells) + 1)):
-            raise ConfigError("problem graph must cover every cell id")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ counts without the enumeration, govern the heavy-load behaviour: under
 ever-growing payloads the network spends all its time in them, so a
 cell's long-run share is tied to how many of them it belongs to.
 
-Inside the package a set of cells is a bitmask, bit ``k`` standing for
-``graph.vertices[k]``; `ContentionGraph.nbr_masks` and `bits` build on it.
-
-Cells are identified by 1-based ids throughout.  Graphs are immutable;
-subgraph views keep the original ids so results can be mapped back.
+Cells are identified by 1-based ids throughout, and a graph always spans
+cells ``1..n_cells``.  Inside the package a set of cells is a bitmask, bit
+``k`` standing for cell ``k + 1``; `ContentionGraph.nbr_masks` and `bits`
+build on it.  Graphs are immutable.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from math import dist
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ConfigError, check_number
-
-_GRAPH_KINDS = ("physical", "logical")
 
 #: Most cells the solver and the enumeration accept (BudgetExceededError).
 MAX_CELLS = 25
@@ -59,41 +56,33 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class ContentionGraph:
-    """Undirected graph on cell ids, possibly restricted to a vertex subset.
+    """Undirected graph on the cell ids ``1..n_cells``.
 
-    ``vertices`` defaults to all of ``1..n_cells``; subgraphs keep original
-    ids.  Edges are stored as sorted pairs and validated against the vertex
-    set.  ``kind`` records whether edges mean carrier-sense proximity
-    ("physical") or co-channel contention ("logical").
+    Edges are stored as sorted pairs; a self-loop or an endpoint outside
+    ``1..n_cells`` raises ConfigError.
     """
 
     n_cells: int
     edges: frozenset[tuple[int, int]]
-    kind: str = "physical"
-    vertices: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ConfigError(f"need at least one cell, got {self.n_cells}")
-        if self.kind not in _GRAPH_KINDS:
-            raise ConfigError(f"graph kind must be one of {_GRAPH_KINDS}")
-        if self.vertices is None:
-            verts = tuple(range(1, self.n_cells + 1))
-        else:
-            verts = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", verts)
-        vset = set(verts)
-        if not vset <= set(range(1, self.n_cells + 1)):
-            raise ConfigError("vertices must be cell ids within 1..n_cells")
+        ids = range(1, self.n_cells + 1)
         norm = set()
         for e in self.edges:
             i, j = e
             if i == j:
                 raise ConfigError(f"self-loop on cell {i}")
-            if i not in vset or j not in vset:
+            if i not in ids or j not in ids:
                 raise ConfigError(f"edge {e} leaves the vertex set")
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        """The cell ids ``1..n_cells``; bit ``k`` of a mask is ``vertices[k]``."""
+        return tuple(range(1, self.n_cells + 1))
 
     @cached_property
     def adjacency(self) -> Mapping[int, frozenset[int]]:
@@ -105,9 +94,8 @@ class ContentionGraph:
 
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
-        """Neighbourhood of ``vertices[k]`` as a bitmask, for each ``k``."""
-        bit = {v: 1 << k for k, v in enumerate(self.vertices)}
-        return tuple(sum(bit[u] for u in self.adjacency[v])
+        """Neighbourhood of cell ``k + 1`` as a bitmask, for each ``k``."""
+        return tuple(sum(1 << (u - 1) for u in self.adjacency[v])
                      for v in self.vertices)
 
     @cached_property
@@ -163,7 +151,7 @@ class ContentionGraph:
 
     def label_masks(self, labels: Sequence[int]) -> Iterable[int]:
         """Bitmask of the cells sharing each distinct label, in order of
-        first use; ``labels[k]`` is the label of ``vertices[k]``."""
+        first use; ``labels[k]`` is the label of cell ``k + 1``."""
         masks: dict[int, int] = {}
         for k, label in enumerate(labels):
             masks[label] = masks.get(label, 0) | 1 << k
@@ -216,8 +204,7 @@ def build_physical_graph(cells: Sequence[CellSpec], r_cs: float) -> ContentionGr
         for b in cells[a_idx + 1:]:
             if dist(a.position, b.position) <= r_cs:
                 edges.add((min(a.id, b.id), max(a.id, b.id)))
-    return ContentionGraph(n_cells=len(cells), edges=frozenset(edges),
-                           kind="physical")
+    return ContentionGraph(n_cells=len(cells), edges=frozenset(edges))
 
 
 def logical_graph(physical: ContentionGraph,
@@ -235,29 +222,41 @@ def logical_graph(physical: ContentionGraph,
             f"{physical.n_cells}")
     kept = frozenset((i, j) for i, j in physical.edges
                      if channels[i - 1] == channels[j - 1])
-    return ContentionGraph(n_cells=physical.n_cells, edges=kept,
-                           kind="logical", vertices=physical.vertices)
+    return ContentionGraph(n_cells=physical.n_cells, edges=kept)
 
 
 def enumerate_state_space(graph: ContentionGraph, *,
-                          max_cells: int = MAX_CELLS,
                           max_states: int = 10_000_000) -> IndependentSetFamily:
     """Enumerate every independent set of ``graph`` and classify each state.
 
     Grows the sets one size at a time, extending each by vertices above
     its largest member, which yields them already in (size, then
     lexicographic) order.  Budgets guard against exponential blow-up:
-    exceeding ``max_cells`` vertices or ``max_states`` discovered states
-    raises BudgetExceededError.
+    more than `MAX_CELLS` vertices or ``max_states`` independent sets
+    raise BudgetExceededError.  The sets are counted before any is built,
+    so an oversized graph fails fast.
     """
     verts = graph.vertices
     n = len(verts)
-    if n > max_cells:
+    if n > MAX_CELLS:
         raise BudgetExceededError(
-            f"{n} cells exceeds the enumeration budget of "
-            f"{max_cells}; raise max_cells explicitly if this is intended")
+            f"{n} cells exceeds the enumeration budget of {MAX_CELLS}")
     nbr = graph.nbr_masks
     full = (1 << n) - 1
+
+    @cache
+    def count(mask: int) -> int:
+        if not mask:
+            return 1
+        low = mask & -mask
+        rest = mask ^ low
+        return count(rest) + count(rest & ~nbr[low.bit_length() - 1])
+
+    n_states = count(full)
+    count.cache_clear()
+    if n_states > max_states:
+        raise BudgetExceededError(
+            f"{n_states} independent sets exceed max_states={max_states}")
     masks: list[int] = []
     free: list[int] = []
     # (members, members' neighbours, lowest vertex that may still join)
@@ -269,27 +268,10 @@ def enumerate_state_space(graph: ContentionGraph, *,
             free.append(full & ~(mask | covered))
             for k in bits(full & ~covered & -(1 << start)):
                 level.append((mask | 1 << k, covered | nbr[k], k + 1))
-            if len(masks) + len(level) > max_states:
-                raise BudgetExceededError(
-                    f"independent-set count exceeds max_states={max_states}")
 
     states = tuple(frozenset(verts[k] for k in bits(m)) for m in masks)
     return IndependentSetFamily(graph=graph, states=states,
                                 masks=tuple(masks), free=tuple(free))
-
-
-def induced_subgraph(graph: ContentionGraph,
-                     vertices: Iterable[int]) -> ContentionGraph:
-    """Subgraph induced on ``vertices``, keeping original ids."""
-    kept = tuple(sorted(set(vertices)))
-    missing = set(kept) - set(graph.vertices)
-    if missing:
-        raise ConfigError(f"vertices {sorted(missing)} not in graph")
-    kset = set(kept)
-    edges = frozenset(e for e in graph.edges
-                      if e[0] in kset and e[1] in kset)
-    return ContentionGraph(n_cells=graph.n_cells, edges=edges,
-                           kind=graph.kind, vertices=kept)
 
 
 def maximal_independent_set(graph: ContentionGraph,
@@ -379,14 +361,14 @@ def parse_topology(raw: Mapping) -> ParsedTopology:
         if not isinstance(edges, (list, tuple)) or not all(
                 isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
             raise ConfigError(f"edges must be [i, j] pairs, got {edges!r}")
-        graph = ContentionGraph(n_cells=len(cells), kind="physical", edges=frozenset(
+        graph = ContentionGraph(n_cells=len(cells), edges=frozenset(
             tuple(check_number(v, "edge endpoint", integer=True) for v in e)
             for e in edges))
     elif "r_cs" in raw:
         graph = build_physical_graph(cells,
                                      check_number(raw["r_cs"], "r_cs"))
     elif len(cells) == 1:
-        graph = ContentionGraph(n_cells=1, edges=frozenset(), kind="physical")
+        graph = ContentionGraph(n_cells=1, edges=frozenset())
     else:
         raise ConfigError(
             "topology needs either an explicit edge list or r_cs geometry")

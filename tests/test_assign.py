@@ -183,6 +183,42 @@ def test_misa_argument_validation():
         assign.misa(PATH4, 2, order_policy="greedy")
 
 
+MISA_CHANNELS = {
+    "arbitrary7": {
+        None: (1, 1, 2, 1, 2, 2, 1),
+        0: (2, 2, 1, 2, 1, 2, 1),
+        1: (1, 1, 2, 2, 1, 1, 2),
+        2: (2, 2, 1, 2, 1, 1, 2),
+        3: (2, 2, 1, 2, 1, 1, 2),
+    },
+    "hex7": {
+        None: (1, 2, 3, 2, 3, 2, 3),
+        0: (3, 2, 1, 2, 1, 2, 1),
+        1: (3, 1, 2, 1, 2, 1, 2),
+        2: (3, 3, 1, 2, 3, 1, 2),
+        3: (2, 3, 1, 3, 3, 1, 3),
+    },
+    "grid12": {
+        None: (1, 2, 1, 2, 3, 2, 1, 3, 3, 3, 3, 3),
+        0: (3, 3, 3, 3, 3, 1, 2, 1, 2, 1, 2, 3),
+        1: (3, 2, 3, 2, 3, 1, 3, 3, 1, 3, 3, 1),
+        2: (1, 3, 1, 2, 3, 2, 1, 2, 3, 3, 3, 3),
+        3: (3, 3, 1, 3, 3, 2, 1, 2, 3, 2, 3, 1),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISA_CHANNELS))
+def test_misa_channels_are_pinned(name):
+    """Lexicographic (seed None) and seeded random orders, on each
+    fixture's own channel count, give the recorded channels."""
+    parsed = fixtures.load(name)
+    for seed, want in MISA_CHANNELS[name].items():
+        order = "lexicographic" if seed is None else "random"
+        got = assign.misa(parsed.graph, parsed.n_channels, order, seed)
+        assert got.channels == want, seed
+
+
 def test_misa_random_order_is_seeded():
     a = assign.misa(ARB7, 2, order_policy="random", seed=5)
     b = assign.misa(ARB7, 2, order_policy="random", seed=5)
@@ -260,6 +296,14 @@ def test_run_lri_step_budget():
     result = assign.run_lri(PATH4, 2, 0.01, max_steps=5)
     assert not result.converged
     assert result.steps == 5
+
+
+@pytest.mark.parametrize("n_channels", [0, -1])
+def test_searches_need_a_channel(n_channels):
+    with pytest.raises(ConfigError, match="at least one channel"):
+        assign.run_lri(PATH4, n_channels, 0.01)
+    with pytest.raises(ConfigError, match="at least one channel"):
+        assign.exhaustive_search(PATH4, n_channels)
 
 
 def test_run_lri_rejects_mismatched_init():

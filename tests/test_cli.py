@@ -244,6 +244,21 @@ def test_assign_needs_a_channel_count(tmp_path, capsys):
                 "--channels", "2") == 0
 
 
+@pytest.mark.parametrize("method", ["misa", "lri", "exhaustive"])
+@pytest.mark.parametrize("channels", ["0", "-1"])
+def test_assign_rejects_a_channel_count_below_one(tmp_path, capsys, method,
+                                                   channels):
+    assert _run("assign", "--input", "path4", "--out", str(tmp_path),
+                "--method", method, "--channels", channels) == 2
+    assert "at least one channel" in capsys.readouterr().err
+
+
+def test_attempt_probability_above_one_exits_2(tmp_path, capsys):
+    assert _run("analyze", "--input", "path4", "--out", str(tmp_path),
+                "--mac-cw-min", "1") == 2
+    assert "cw_min must be at least 2" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_payload(tmp_path):

@@ -15,6 +15,8 @@ PAIR = ContentionGraph(n_cells=2, edges=frozenset({(1, 2)}))
 
 @pytest.mark.parametrize("kwargs", [
     {"horizon": 0.0},
+    {"horizon": math.nan},
+    {"horizon": math.inf},
     {"horizon": 10.0, "warmup_fraction": 1.0},
     {"horizon": 10.0, "warmup_fraction": -0.1},
     {"horizon": 10.0, "active_time_distribution": "pareto"},

@@ -168,6 +168,7 @@ def test_mac_from_dict_layers_over_base():
     {"data_rate": -1.0},
     {"payload_bits": -8},
     {"cw_min": 0},
+    {"cw_min": 1},
     {"backoff_doubling_cap": -1},
     {"retry_limit": -1},
     {"access_mode": "polling"},

@@ -225,22 +225,20 @@ def test_unblocked_routes_agree_on_solved_fixtures(all_sat):
 def law_cases(draw, max_cells: int = 12):
     """A random graph on shuffled ids with heterogeneous cells and loads.
 
-    Edges are drawn between positions, then the positions get a random
-    subset of ``1..2 * max_cells`` as ids, so bit order differs from
-    the drawn structure.  Occupation ratios are ``r_i * 10**e`` with
+    Edges are drawn between positions, then the positions get shuffled
+    ids ``1..n``, so bit order differs from the drawn structure.  Occupation ratios are ``r_i * 10**e`` with
     ``r_i`` in [0.1, 10] and ``e`` from -3 up to 150, capped so that the
     heaviest state weight stays below 1e280 and no stationary
     probability of the kernels goes subnormal.
     """
     n = draw(st.integers(min_value=1, max_value=max_cells))
-    ids = draw(st.permutations(range(1, 2 * max_cells + 1)))[:n]
+    ids = draw(st.permutations(range(1, n + 1)))
     links = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
                           max_size=n * (n - 1) // 2))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = frozenset((ids[i], ids[j])
                       for (i, j), linked in zip(pairs, links) if linked)
-    graph = ContentionGraph(n_cells=2 * max_cells, edges=edges,
-                            vertices=tuple(ids))
+    graph = ContentionGraph(n_cells=n, edges=edges)
     alpha = graph.independence_number((1 << n) - 1)
     exponent = draw(st.floats(min_value=-3.0,
                               max_value=min(150.0, 280.0 / alpha - 1.0)))

@@ -1,5 +1,6 @@
 """Cells, contention graphs, and independent-set enumeration."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from wlancell import fixtures
 from wlancell.errors import BudgetExceededError, ConfigError
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
-                               build_physical_graph,
-                               enumerate_state_space, induced_subgraph,
+                               build_physical_graph, enumerate_state_space,
                                logical_graph, maximal_independent_set,
                                parse_topology)
 
@@ -71,23 +71,20 @@ def test_graph_normalizes_edges():
     assert g.degree() == 2
 
 
+def test_graph_spans_every_cell_id():
+    g = ContentionGraph(n_cells=5, edges=frozenset({(4, 2)}))
+    assert [f.name for f in dataclasses.fields(g)] == ["n_cells", "edges"]
+    assert g.vertices == (1, 2, 3, 4, 5)
+    assert g.nbr_masks == (0, 0b01000, 0, 0b00010, 0)
+
+
 def test_graph_rejects_self_loops_and_foreign_edges():
     with pytest.raises(ConfigError):
         ContentionGraph(n_cells=3, edges=frozenset({(2, 2)}))
     with pytest.raises(ConfigError):
         ContentionGraph(n_cells=3, edges=frozenset({(1, 4)}))
     with pytest.raises(ConfigError):
-        ContentionGraph(n_cells=3, edges=frozenset(), kind="social")
-    with pytest.raises(ConfigError):
         ContentionGraph(n_cells=0, edges=frozenset())
-
-
-def test_graph_vertex_subset_keeps_ids():
-    g = ContentionGraph(n_cells=5, edges=frozenset({(2, 4)}), vertices=(4, 2))
-    assert g.vertices == (2, 4)
-    assert g.degree() == 1
-    with pytest.raises(ConfigError):
-        ContentionGraph(n_cells=3, edges=frozenset(), vertices=(1, 7))
 
 
 def test_physical_graph_from_unit_spacing():
@@ -115,7 +112,6 @@ def test_logical_graph_drops_cross_channel_edges():
     assert logical_graph(g, (1, 2, 1, 2)).edges == frozenset()
     assert logical_graph(g, (1, 1, 1, 1)).edges == PATH4_EDGES
     assert logical_graph(g, (1, 1, 2, 2)).edges == frozenset({(1, 2), (3, 4)})
-    assert logical_graph(g, (1, 2, 1, 2)).kind == "logical"
 
 
 def test_logical_graph_accepts_assignment_objects():
@@ -188,12 +184,10 @@ def test_enumeration_budgets():
         enumerate_state_space(path4_graph(), max_states=3)
 
 
-def test_induced_subgraph_keeps_ids():
-    sub = induced_subgraph(path4_graph(), [4, 1, 2])
-    assert sub.vertices == (1, 2, 4)
-    assert sub.edges == frozenset({(1, 2)})
-    with pytest.raises(ConfigError):
-        induced_subgraph(path4_graph(), [1, 9])
+def test_state_budget_fails_before_enumerating():
+    # 25 isolated cells: every subset is independent, 2**25 states
+    with pytest.raises(BudgetExceededError, match="33554432"):
+        enumerate_state_space(ContentionGraph(n_cells=25, edges=frozenset()))
 
 
 def test_greedy_maximal_set_follows_order():
