@@ -23,8 +23,7 @@ from .multicell import (FixedPointSolution, MultiCellProblem, jain_fairness,
                         stationary_distribution)
 from .topology import (CellSpec, ContentionGraph, IndependentSetFamily,
                        build_physical_graph, enumerate_state_space,
-                       logical_graph, maximal_independent_set,
-                       parse_topology)
+                       logical_graph, parse_topology)
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "large_rho_limits",
     "logical_graph",
     "lri_step",
-    "maximal_independent_set",
     "misa",
     "parse_topology",
     "run_lri",

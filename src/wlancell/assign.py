@@ -75,14 +75,12 @@ class LAState:
     """State of the learning automata: one probability row per cell.
 
     ``probs`` is an (N, M) row-stochastic matrix, kept read-only; ``step``
-    counts updates applied; ``b`` is the learning rate; ``seed`` records
-    the stream the run was started from (None for externally driven rngs).
+    counts updates applied; ``b`` is the learning rate.
     """
 
     probs: np.ndarray
     step: int = 0
     b: float = 0.01
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         p = np.array(self.probs, dtype=float)
@@ -202,8 +200,7 @@ def lri_step(state: LAState, physical: ContentionGraph,
         raise ConfigError(f"utility must lie in [0, 1], got {u}")
     updated = p * (1.0 - state.b * u)
     updated[np.arange(n), picks] += state.b * u
-    new_state = LAState(probs=updated, step=state.step + 1, b=state.b,
-                        seed=state.seed)
+    new_state = LAState(probs=updated, step=state.step + 1, b=state.b)
     return new_state, assignment, u
 
 
@@ -224,10 +221,9 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
         raise ConfigError("need at least one channel")
     n = len(physical.vertices)
     if init is None:
-        state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels),
-                        b=b, seed=seed)
+        state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels), b=b)
     else:
-        state = LAState(probs=init.probs, step=init.step, b=b, seed=seed)
+        state = LAState(probs=init.probs, step=init.step, b=b)
         if state.probs.shape != (n, n_channels):
             raise ConfigError("init rows do not match the graph and channels")
     base = utility_theta_bar if utility is None else utility
@@ -336,22 +332,22 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the search budget of {budget}")
-    best_channels: tuple[int, ...] | None = None
-    best_u = -math.inf
     if utility is None:
         alpha = physical.independence_number
         split = physical.label_masks
-        for cand in itertools.product(range(1, n_channels + 1), repeat=n):
-            u = sum(map(alpha, split(cand))) / n
-            if u > best_u:
-                best_u = u
-                best_channels = cand
+
+        def score(cand: tuple[int, ...]) -> float:
+            return sum(map(alpha, split(cand))) / n
     else:
-        for cand in itertools.product(range(1, n_channels + 1), repeat=n):
-            u = float(utility(physical, cand))
-            if u > best_u:
-                best_u = u
-                best_channels = cand
+        def score(cand: tuple[int, ...]) -> float:
+            return float(utility(physical, cand))
+    best_channels: tuple[int, ...] | None = None
+    best_u = -math.inf
+    for cand in itertools.product(range(1, n_channels + 1), repeat=n):
+        u = score(cand)
+        if u > best_u:
+            best_u = u
+            best_channels = cand
     assert best_channels is not None
     return (ChannelAssignment(channels=best_channels, n_channels=n_channels),
             best_u)

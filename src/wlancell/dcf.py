@@ -46,6 +46,17 @@ from .errors import ConfigError, ConvergenceError, check_number
 #: equally the size of a bare TCP ACK segment (40 bytes).
 TCP_IP_HEADER_BITS = 320
 
+#: Step size of the damped fixed-point iterations here and in
+#: `wlancell.multicell.solve_fixed_point`: each sweep moves this share of
+#: the way to the new target.
+DAMPING = 0.5
+
+#: Those iterations stop once every update is smaller than this.
+TOL = 1e-10
+
+#: Largest retry limit the 802.11 MIB allows (dot11LongRetryLimit).
+MAX_RETRY_LIMIT = 255
+
 _ACCESS_MODES = ("basic", "rtscts")
 
 #: MacParams fields that must be strictly positive; every other numeric
@@ -91,6 +102,16 @@ class MacParams:
         if self.cw_min < 2:
             # the first-stage attempt probability 2 / cw_min must not exceed 1
             raise ConfigError(f"cw_min must be at least 2, got {self.cw_min}")
+        if self.retry_limit > MAX_RETRY_LIMIT:
+            raise ConfigError(f"retry_limit must be at most {MAX_RETRY_LIMIT}, "
+                              f"got {self.retry_limit}")
+        doublings = min(self.retry_limit, self.backoff_doubling_cap)
+        if 2 ** doublings * self.cw_min >= 2 ** 53:
+            # keeps every attempt probability at least 2**-52, so that
+            # 1 - beta stays below 1 and every cell gets to transmit
+            raise ConfigError(
+                f"largest backoff window 2**{doublings} * cw_min must stay "
+                f"below 2**53, got cw_min={self.cw_min}")
         if self.access_mode not in _ACCESS_MODES:
             raise ConfigError(
                 f"access_mode must be one of {_ACCESS_MODES}, "
@@ -159,14 +180,14 @@ def frame_durations(params: MacParams) -> tuple[float, float]:
 
 
 def single_cell_fixed_point(n: int, params: MacParams, *,
-                            damping: float = 0.5, tol: float = 1e-10,
                             max_iter: int = 10_000) -> SingleCellResult:
     """Solve the beta/gamma fixed point for ``n`` saturated stations.
 
     Damped iteration ``gamma <- (1-d)*gamma + d*(1 - (1-G(gamma))**(n-1))``
-    starting from ``gamma = 0``.  Raises ConvergenceError (carrying the
-    residual and the tail of the iterate history) if the update size does
-    not fall below ``tol`` within ``max_iter`` sweeps.
+    with ``d = DAMPING``, starting from ``gamma = 0``.  Raises
+    ConvergenceError (carrying the residual and the tail of the iterate
+    history) if the update size does not fall below `TOL` within
+    ``max_iter`` sweeps.
     """
     if n < 1:
         raise ConfigError(f"need at least one station, got n={n}")
@@ -176,11 +197,11 @@ def single_cell_fixed_point(n: int, params: MacParams, *,
     for _ in range(max_iter):
         beta = attempt_prob_G(gamma, params)
         gamma_new = 1.0 - (1.0 - beta) ** (n - 1)
-        gamma_next = (1.0 - damping) * gamma + damping * gamma_new
+        gamma_next = (1.0 - DAMPING) * gamma + DAMPING * gamma_new
         residual = abs(gamma_next - gamma)
         gamma = gamma_next
         history.append(gamma)
-        if residual < tol:
+        if residual < TOL:
             beta = attempt_prob_G(gamma, params)
             return SingleCellResult(
                 beta=beta, gamma=gamma,

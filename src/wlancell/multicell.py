@@ -29,7 +29,7 @@ Damped iteration of (1)-(3) converges to the operating point.  The
 fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
 throughput into its networked throughput.  It has a closed form in terms
 of two independent-set partition sums (Theorem 1), ``x_i = (1 + rho_i) *
-Z_i / Z``, which `evaluate_law` and `unblocked_fractions_theorem1` use.
+Z_i / Z``, which `evaluate_law` reads off `wlancell.topology.partition_sum`.
 The per-state kernels over the enumerated states
 (`stationary_distribution`, `collision_probabilities`,
 `unblocked_fractions_direct`) are the cross-check: both routes agree to
@@ -41,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import dcf
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
 from .topology import (MAX_CELLS, CellSpec, ContentionGraph,
-                       IndependentSetFamily, bits)
+                       IndependentSetFamily, bits, partition_sum)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
 
@@ -225,36 +225,6 @@ def unblocked_fractions_direct(family: IndependentSetFamily,
     return tuple(math.fsum(t) for t in terms)
 
 
-def _partition_sum(graph: ContentionGraph, rho: Sequence[float]
-                   ) -> tuple[Callable[[int], float], float]:
-    """``(Z, Z(full))``: the weighted independent-set sum within a bitmask.
-
-    ``Z(mask) = Z(rest) + rho_low * Z(rest minus low's neighbours)``,
-    branching on the lowest cell, memoised for this call only.  ``rho``
-    is aligned with ``graph.vertices``.  Raises ConfigError when the sum
-    over the whole graph overflows.
-    """
-    if len(rho) != len(graph.vertices):
-        raise ConfigError("rho must align with the graph vertices")
-    if any(r < 0 for r in rho):
-        raise ConfigError("occupation ratios must be non-negative")
-    nbr = graph.nbr_masks
-
-    @cache
-    def z(mask: int) -> float:
-        if not mask:
-            return 1.0
-        low = mask & -mask
-        k = low.bit_length() - 1
-        rest = mask ^ low
-        return z(rest) + rho[k] * z(rest & ~nbr[k])
-
-    z_full = z((1 << len(graph.vertices)) - 1)
-    if not math.isfinite(z_full):
-        raise ConfigError("occupation ratios overflow the partition sum")
-    return z, z_full
-
-
 def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
                  rho: Sequence[float], cells: Sequence[CellSpec]
                  ) -> tuple[tuple[float, ...], tuple[bool, ...],
@@ -273,7 +243,7 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
     positive, so no digits cancel.  ``beta`` and ``rho`` are aligned with
     ``graph.vertices``; ``cells`` give the station counts by id.
     """
-    z, z_full = _partition_sum(graph, rho)
+    z, z_full = partition_sum(graph, rho)
     nbr = graph.nbr_masks
     n_by_id = {c.id: c.n_nodes for c in cells}
     n_nodes = [n_by_id[v] for v in graph.vertices]
@@ -302,7 +272,9 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
     for k in range(len(graph.vertices)):
         others = full & ~(nbr[k] | 1 << k)
         z_k = z(others)
-        x.append((1.0 + rho[k]) * z_k / z_full)
+        # a fraction of time, but rounding can lift the ratio an ulp above
+        # 1 (for a cell without neighbours it is exactly 1)
+        x.append(min(1.0, (1.0 + rho[k]) * z_k / z_full))
         starved.append(z_k / z_full < STARVATION_FLOOR)
         gamma.append(1.0 if starved[-1] else h(k, others, 0) / z_k)
     # each memo's closure refers to itself: empty them now rather than
@@ -310,24 +282,6 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
     z.cache_clear()
     h.cache_clear()
     return tuple(gamma), tuple(starved), tuple(x)
-
-
-def unblocked_fractions_theorem1(graph: ContentionGraph,
-                                 rho: Sequence[float]) -> tuple[float, ...]:
-    """Closed-form unblocked fractions from partition-sum ratios.
-
-    ``x_i = (1 + rho_i) * Z_i / Z`` where ``Z`` sums independent-set
-    weights over the whole graph and ``Z_i`` over the graph with cell
-    ``i``'s closed neighbourhood deleted (see `_partition_sum`).  Raises
-    ConfigError when ``Z`` overflows.
-    """
-    z, z_full = _partition_sum(graph, rho)
-    nbr = graph.nbr_masks
-    full = (1 << len(graph.vertices)) - 1
-    x = tuple((1.0 + rho[k]) * z(full & ~(nbr[k] | 1 << k)) / z_full
-              for k in range(len(graph.vertices)))
-    z.cache_clear()
-    return x
 
 
 def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
@@ -378,18 +332,16 @@ def jain_fairness(x: Sequence[float]) -> float:
 
 
 def solve_fixed_point(problem: MultiCellProblem, *,
-                      damping: float = 0.5, tol: float = 1e-10,
                       max_iter: int = 10_000) -> FixedPointSolution:
     """Solve the coupled attempt/collision fixed point for a network.
 
-    Damped iteration on the per-cell attempt probabilities, started from
-    the collision-free value.  Stops when the largest per-cell update
-    falls below ``tol``; raises ConvergenceError (with residual and the
-    tail of the iterate history) otherwise.  Networks of more than
-    `MAX_CELLS` cells raise BudgetExceededError.
+    Iteration on the per-cell attempt probabilities, damped by
+    `wlancell.dcf.DAMPING` and started from the collision-free value.
+    Stops when the largest per-cell update falls below `wlancell.dcf.TOL`;
+    raises ConvergenceError (with residual and the tail of the iterate
+    history) otherwise.  Networks of more than `MAX_CELLS` cells raise
+    BudgetExceededError.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
     if len(problem.cells) > MAX_CELLS:
         raise BudgetExceededError(
             f"{len(problem.cells)} cells exceeds the limit of {MAX_CELLS}")
@@ -414,12 +366,12 @@ def solve_fixed_point(problem: MultiCellProblem, *,
         _, _, rho = rates(beta)
         gamma, _, _ = evaluate_law(problem.graph, beta, rho, cells)
         target = tuple(dcf.attempt_prob_G(g, mac) for g in gamma)
-        beta_next = tuple((1.0 - damping) * b + damping * t
+        beta_next = tuple((1.0 - dcf.DAMPING) * b + dcf.DAMPING * t
                           for b, t in zip(beta, target))
         residual = max(abs(bn - b) for bn, b in zip(beta_next, beta))
         beta = beta_next
         history.append(beta)
-        if residual < tol:
+        if residual < dcf.TOL:
             converged_at = iteration
             break
     if converged_at is None:

@@ -10,10 +10,13 @@ graph, so the reachable channel states are exactly the independent sets.
 
 This module enumerates that state space and, for each state, splits the
 remaining cells into blocked ones (some neighbour is active) and cells
-counting down backoff.  The maximum independent sets, which the graph
-counts without the enumeration, govern the heavy-load behaviour: under
-ever-growing payloads the network spends all its time in them, so a
-cell's long-run share is tied to how many of them it belongs to.
+counting down backoff.  It also owns the sums over independent sets that
+need no enumeration, all by memoised branching on the lowest cell of a
+bitmask: the weighted partition sum (`partition_sum`), from which the
+product-form law and the state count follow, and the size and number of
+the maximum independent sets.  Those govern the heavy-load behaviour:
+under ever-growing payloads the network spends all its time in them, so
+a cell's long-run share is tied to how many of them it belongs to.
 
 Cells are identified by 1-based ids throughout, and a graph always spans
 cells ``1..n_cells``.  Inside the package a set of cells is a bitmask, bit
@@ -25,13 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import dist
+from math import dist, isfinite
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ConfigError, check_number
 
 #: Most cells the solver and the enumeration accept (BudgetExceededError).
 MAX_CELLS = 25
+
+#: Most independent sets `enumerate_state_space` builds (BudgetExceededError).
+MAX_STATES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,6 @@ class ContentionGraph:
             masks[label] = masks.get(label, 0) | 1 << k
         return masks.values()
 
-    def degree(self) -> int:
-        """Maximum vertex degree (0 for an edgeless graph)."""
-        return max((len(s) for s in self.adjacency.values()), default=0)
-
 
 def bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
@@ -168,6 +170,36 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def partition_sum(graph: ContentionGraph, weights: Sequence[float]
+                  ) -> tuple[Callable[[int], float], float]:
+    """``(Z, Z(full))``: the weighted independent-set sum within a bitmask.
+
+    ``Z(mask) = Z(rest) + w_low * Z(rest minus low's neighbours)``,
+    branching on the lowest cell, memoised for this call only.
+    ``weights`` is aligned with ``graph.vertices``.  Raises ConfigError
+    when the sum over the whole graph overflows.
+    """
+    if len(weights) != len(graph.vertices):
+        raise ConfigError("rho must align with the graph vertices")
+    if any(r < 0 for r in weights):
+        raise ConfigError("occupation ratios must be non-negative")
+    nbr = graph.nbr_masks
+
+    @cache
+    def z(mask: int) -> float:
+        if not mask:
+            return 1.0
+        low = mask & -mask
+        k = low.bit_length() - 1
+        rest = mask ^ low
+        return z(rest) + weights[k] * z(rest & ~nbr[k])
+
+    z_full = z((1 << len(graph.vertices)) - 1)
+    if not isfinite(z_full):
+        raise ConfigError("occupation ratios overflow the partition sum")
+    return z, z_full
 
 
 @dataclass(frozen=True)
@@ -225,38 +257,29 @@ def logical_graph(physical: ContentionGraph,
     return ContentionGraph(n_cells=physical.n_cells, edges=kept)
 
 
-def enumerate_state_space(graph: ContentionGraph, *,
-                          max_states: int = 10_000_000) -> IndependentSetFamily:
+def enumerate_state_space(graph: ContentionGraph) -> IndependentSetFamily:
     """Enumerate every independent set of ``graph`` and classify each state.
 
     Grows the sets one size at a time, extending each by vertices above
     its largest member, which yields them already in (size, then
     lexicographic) order.  Budgets guard against exponential blow-up:
-    more than `MAX_CELLS` vertices or ``max_states`` independent sets
-    raise BudgetExceededError.  The sets are counted before any is built,
-    so an oversized graph fails fast.
+    more than `MAX_CELLS` vertices or `MAX_STATES` independent sets
+    raise BudgetExceededError.  The sets are counted (`partition_sum` at
+    unit weights, exact below 2**53) before any is built, so an oversized
+    graph fails fast.
     """
     verts = graph.vertices
     n = len(verts)
     if n > MAX_CELLS:
         raise BudgetExceededError(
             f"{n} cells exceeds the enumeration budget of {MAX_CELLS}")
+    z, n_states = partition_sum(graph, [1.0] * n)
+    z.cache_clear()
+    if n_states > MAX_STATES:
+        raise BudgetExceededError(
+            f"{int(n_states)} independent sets exceed MAX_STATES={MAX_STATES}")
     nbr = graph.nbr_masks
     full = (1 << n) - 1
-
-    @cache
-    def count(mask: int) -> int:
-        if not mask:
-            return 1
-        low = mask & -mask
-        rest = mask ^ low
-        return count(rest) + count(rest & ~nbr[low.bit_length() - 1])
-
-    n_states = count(full)
-    count.cache_clear()
-    if n_states > max_states:
-        raise BudgetExceededError(
-            f"{n_states} independent sets exceed max_states={max_states}")
     masks: list[int] = []
     free: list[int] = []
     # (members, members' neighbours, lowest vertex that may still join)
@@ -272,27 +295,6 @@ def enumerate_state_space(graph: ContentionGraph, *,
     states = tuple(frozenset(verts[k] for k in bits(m)) for m in masks)
     return IndependentSetFamily(graph=graph, states=states,
                                 masks=tuple(masks), free=tuple(free))
-
-
-def maximal_independent_set(graph: ContentionGraph,
-                            order: Sequence[int] | None = None) -> frozenset[int]:
-    """Greedy maximal independent set, admitting vertices in ``order``.
-
-    The default order is ascending id.  ``order`` must be a permutation of
-    the graph's vertices.
-    """
-    if order is None:
-        order = graph.vertices
-    else:
-        order = tuple(order)
-        if sorted(order) != list(graph.vertices):
-            raise ConfigError("order must be a permutation of the vertices")
-    adj = graph.adjacency
-    chosen: set[int] = set()
-    for v in order:
-        if not adj[v] & chosen:
-            chosen.add(v)
-    return frozenset(chosen)
 
 
 @dataclass(frozen=True)

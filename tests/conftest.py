@@ -10,7 +10,7 @@ import pytest
 
 from wlancell import fixtures, multicell
 from wlancell.multicell import FixedPointSolution, MultiCellProblem
-from wlancell.topology import ParsedTopology, enumerate_state_space
+from wlancell.topology import CellSpec, ParsedTopology, enumerate_state_space
 
 
 class Solved(NamedTuple):
@@ -32,6 +32,14 @@ def stationary_law(solved: Solved):
     family = enumerate_state_space(solved.problem.graph)
     return family, multicell.stationary_distribution(family,
                                                      solved.solution.rho)
+
+
+def closed_form_x(graph, rho) -> tuple[float, ...]:
+    """Theorem 1's unblocked fractions, as `multicell.evaluate_law`
+    reads them off the partition sums (``beta`` plays no part in them)."""
+    cells = [CellSpec(id=v) for v in graph.vertices]
+    _, _, x = multicell.evaluate_law(graph, [0.0] * len(cells), rho, cells)
+    return x
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def test_misa_grid12_reaches_the_optimum():
 
 def test_misa_with_enough_channels_unblocks_everyone():
     graph = fixtures.load("grid12").graph
-    a = assign.misa(graph, graph.degree() + 1)
+    a = assign.misa(graph, max(map(int.bit_count, graph.nbr_masks)) + 1)
     assert assign.utility_theta_bar(graph, a) == 1.0
 
 
@@ -231,6 +231,16 @@ def test_misa_random_order_is_seeded():
 def test_misa_always_lands_on_an_equilibrium(graph, m, seed):
     a = assign.misa(graph, m, order_policy="random", seed=seed)
     assert assign.is_nash_equilibrium(graph, a).is_nash
+    # each channel but the last takes an independent set that is maximal
+    # among the cells not yet assigned
+    adj = graph.adjacency
+    remaining = set(graph.vertices)
+    for ch in range(1, m):
+        members = set(a.classes()[ch])
+        assert members <= remaining
+        assert not any(adj[v] & members for v in members)
+        assert all(adj[v] & members for v in remaining - members)
+        remaining -= members
 
 
 def test_nash_checker_on_arbitrary7():

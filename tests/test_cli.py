@@ -227,6 +227,16 @@ def test_assign_lri_writes_a_utility_trace(tmp_path):
     assert len(trace) >= 3
 
 
+def test_assign_lri_fixed_point_utility_on_arbitrary7(tmp_path):
+    # isolated co-channel cells give x one ulp above 1 unless clamped,
+    # which the learning update rejects as a utility outside [0, 1]
+    assert _run("assign", "--input", "arbitrary7", "--out", str(tmp_path),
+                "--method", "lri", "--utility", "fixed",
+                "--steps", "300") == 0
+    trace = _read_lines(tmp_path / "arbitrary7_utrace.csv")
+    assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in trace[1:])
+
+
 def test_assign_exhaustive_budget_exit(tmp_path, capsys):
     assert _run("assign", "--input", "path4", "--out", str(tmp_path),
                 "--method", "exhaustive", "--budget", "1") == 4
@@ -257,6 +267,17 @@ def test_attempt_probability_above_one_exits_2(tmp_path, capsys):
     assert _run("analyze", "--input", "path4", "--out", str(tmp_path),
                 "--mac-cw-min", "1") == 2
     assert "cw_min must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--mac-cw-min", "100000000000000000"),
+    ("--mac-backoff-doubling-cap", "2000", "--mac-retry-limit", "2000"),
+])
+def test_extreme_backoff_windows_exit_2(tmp_path, capsys, flags):
+    # rejected before the solver would divide by a zero p_any or overflow
+    assert _run("analyze", "--input", "hex7", "--out", str(tmp_path),
+                *flags) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ sweep

@@ -178,6 +178,29 @@ def test_mac_params_validate_fields(overrides):
         dcf.mac_from_dict(overrides)
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"retry_limit": 256}, "retry_limit must be at most 255"),
+    ({"retry_limit": 2000, "backoff_doubling_cap": 2000}, "retry_limit"),
+    ({"cw_min": 10**17}, r"below 2\*\*53"),
+    ({"cw_min": 2**48}, r"below 2\*\*53"),
+    ({"cw_min": 2, "backoff_doubling_cap": 52, "retry_limit": 52},
+     r"below 2\*\*53"),
+])
+def test_mac_params_bound_the_backoff_window(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        dcf.MacParams(**overrides)
+
+
+def test_largest_backoff_window_keeps_every_cell_transmitting():
+    # just inside the bounds: the slowest attempt probability is 2**-52,
+    # so 1 - beta stays below 1 and the throughput stays finite
+    mac = dcf.MacParams(cw_min=2**48 - 1, retry_limit=255)
+    beta = dcf.attempt_prob_G(1.0, mac)
+    assert beta >= 2.0**-52
+    assert 1.0 - beta < 1.0
+    assert math.isfinite(dcf.single_cell_throughput(5, mac))
+
+
 @pytest.mark.parametrize("field", ["slot_time", "sifs", "phy_header_time",
                                    "data_rate"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])

@@ -4,7 +4,7 @@ import gc
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlancell import assign, dcf, multicell
@@ -13,7 +13,7 @@ from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                enumerate_state_space)
 
-from conftest import solve_fixture, stationary_law
+from conftest import closed_form_x, solve_fixture, stationary_law
 
 MAC = dcf.MacParams()
 
@@ -192,7 +192,7 @@ def test_unblocked_fraction_routes_agree(case):
     family = enumerate_state_space(graph)
     pi = multicell.stationary_distribution(family, rho)
     direct = multicell.unblocked_fractions_direct(family, pi)
-    closed = multicell.unblocked_fractions_theorem1(graph, rho)
+    closed = closed_form_x(graph, rho)
     assert max(abs(a - b) for a, b in zip(direct, closed)) < 1e-10
 
 
@@ -208,16 +208,16 @@ def test_heavy_load_routes_answer_beyond_the_enumeration_budget():
     profile = assign.infinite_load_profile(graph, (1,) * side * side)
     assert profile == (0.5,) * side * side
     assert math.fsum(profile) == alpha
-    x = multicell.unblocked_fractions_theorem1(graph, (1e9,) * side * side)
+    x = closed_form_x(graph, (1e9,) * side * side)
     assert all(0.0 <= v <= 1.0 for v in x)
     assert math.fsum(x) == pytest.approx(alpha, rel=1e-6)
 
 
 def test_unblocked_routes_agree_on_solved_fixtures(all_sat):
     for solved in all_sat.values():
-        direct = solved.solution.x
-        closed = multicell.unblocked_fractions_theorem1(
-            solved.parsed.graph, solved.solution.rho)
+        family, pi = stationary_law(solved)
+        direct = multicell.unblocked_fractions_direct(family, pi)
+        closed = solved.solution.x
         assert max(abs(a - b) for a, b in zip(direct, closed)) < 1e-12
 
 
@@ -268,13 +268,23 @@ def test_partition_sum_law_matches_enumeration_kernels(case):
         assert math.isclose(got, want, rel_tol=1e-12)
 
 
+@settings(deadline=None)
+@given(case=law_cases())
+# two isolated cells, whose unblocked fraction of 1 computes as
+# 1 + 2**-52 before clamping
+@example(case=(ContentionGraph(n_cells=2, edges=frozenset()), (0.0, 0.0),
+               (2.408, 2.386), (CellSpec(id=1), CellSpec(id=2))))
+def test_law_probabilities_stay_in_the_unit_interval(case):
+    graph, beta, rho, cells = case
+    gamma, _, x = multicell.evaluate_law(graph, beta, rho, cells)
+    assert all(0.0 <= v <= 1.0 for v in gamma + x)
+
+
 @pytest.mark.parametrize("factor", [1e153, 1e300])
 def test_partition_sums_raise_on_overflow(path4_sat, factor):
     s = path4_sat.solution
     graph = path4_sat.parsed.graph
     rho = tuple(r * factor for r in s.rho)
-    with pytest.raises(ConfigError, match="overflow"):
-        multicell.unblocked_fractions_theorem1(graph, rho)
     with pytest.raises(ConfigError, match="overflow"):
         multicell.evaluate_law(graph, s.beta, rho, path4_sat.parsed.cells)
 
@@ -416,12 +426,6 @@ def test_jain_fairness():
     assert multicell.jain_fairness((0.0, 0.0)) == 1.0
     with pytest.raises(ConfigError):
         multicell.jain_fairness(())
-
-
-def test_solver_validates_damping(path4_sat):
-    for damping in (0.0, 1.5):
-        with pytest.raises(ConfigError):
-            multicell.solve_fixed_point(path4_sat.problem, damping=damping)
 
 
 def test_solver_reports_non_convergence(path4_sat):

@@ -12,8 +12,7 @@ from wlancell import fixtures
 from wlancell.errors import BudgetExceededError, ConfigError
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
                                build_physical_graph, enumerate_state_space,
-                               logical_graph, maximal_independent_set,
-                               parse_topology)
+                               logical_graph, parse_topology)
 
 PATH4_EDGES = frozenset({(1, 2), (2, 3), (3, 4)})
 
@@ -68,7 +67,6 @@ def test_graph_normalizes_edges():
     assert g.edges == frozenset({(1, 2), (2, 3)})
     assert g.vertices == (1, 2, 3)
     assert g.adjacency[2] == frozenset({1, 3})
-    assert g.degree() == 2
 
 
 def test_graph_spans_every_cell_id():
@@ -180,33 +178,12 @@ def test_maximum_set_profile_matches_brute_force(data):
 def test_enumeration_budgets():
     with pytest.raises(BudgetExceededError):
         enumerate_state_space(ContentionGraph(n_cells=26, edges=frozenset()))
-    with pytest.raises(BudgetExceededError):
-        enumerate_state_space(path4_graph(), max_states=3)
 
 
 def test_state_budget_fails_before_enumerating():
     # 25 isolated cells: every subset is independent, 2**25 states
     with pytest.raises(BudgetExceededError, match="33554432"):
         enumerate_state_space(ContentionGraph(n_cells=25, edges=frozenset()))
-
-
-def test_greedy_maximal_set_follows_order():
-    g = path4_graph()
-    assert maximal_independent_set(g) == frozenset({1, 3})
-    assert maximal_independent_set(g, order=(2, 1, 3, 4)) == frozenset({2, 4})
-    with pytest.raises(ConfigError):
-        maximal_independent_set(g, order=(1, 2, 3))
-
-
-@given(data=st.data())
-def test_greedy_set_is_independent_and_maximal(data):
-    graph = data.draw(graphs())
-    order = data.draw(st.permutations(graph.vertices))
-    chosen = maximal_independent_set(graph, order)
-    adj = graph.adjacency
-    assert not any(u in adj[v] for v in chosen for u in chosen)
-    outside = set(graph.vertices) - chosen
-    assert all(adj[v] & chosen for v in outside)
 
 
 def test_parse_topology_full_schema():
