@@ -119,6 +119,14 @@ class NashResult:
     utility: float
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without running its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def utility_theta_bar(physical: ContentionGraph,
                       assignment: ChannelAssignment | Sequence[int]) -> float:
     """Mean heavy-load unblocked share of an assignment, in [0, 1].
@@ -186,21 +194,25 @@ def lri_step(state: LAState, physical: ContentionGraph,
     Samples a joint assignment from the rows, evaluates the shared
     utility, and moves each row toward its sampled channel by ``b * U``.
     A utility outside [0, 1] is rejected: the update would no longer be a
-    convex combination and rows could leave the simplex.
+    convex combination and rows could leave the simplex.  Within [0, 1]
+    the new rows and the sampled channels are valid by construction, so
+    they skip the constructors' checks.
     """
     p = state.probs
     n, m = p.shape
-    cum = np.cumsum(p, axis=1)
+    cum = p.cumsum(axis=1)
     draws = rng.random(n) * cum[:, -1]
     picks = np.minimum((cum < draws[:, None]).sum(axis=1), m - 1)
-    assignment = ChannelAssignment(channels=tuple(int(c) + 1 for c in picks),
-                                   n_channels=m)
+    assignment = _unchecked(ChannelAssignment,
+                            channels=tuple((picks + 1).tolist()), n_channels=m)
     u = float(utility(physical, assignment))
     if not 0.0 <= u <= 1.0:
         raise ConfigError(f"utility must lie in [0, 1], got {u}")
     updated = p * (1.0 - state.b * u)
     updated[np.arange(n), picks] += state.b * u
-    new_state = LAState(probs=updated, step=state.step + 1, b=state.b)
+    updated.setflags(write=False)
+    new_state = _unchecked(LAState, probs=updated, step=state.step + 1,
+                           b=state.b)
     return new_state, assignment, u
 
 
@@ -314,6 +326,19 @@ def is_nash_equilibrium(physical: ContentionGraph,
                       utility=u0)
 
 
+def _half_masks(n_channels: int, size: int, offset: int
+                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every assignment of ``size`` consecutive cells from bit ``offset``,
+    in `itertools.product` order, with its bitmask per channel."""
+    out = []
+    for labels in itertools.product(range(1, n_channels + 1), repeat=size):
+        masks = [0] * n_channels
+        for k, ch in enumerate(labels, offset):
+            masks[ch - 1] |= 1 << k
+        out.append((labels, tuple(masks)))
+    return out
+
+
 def exhaustive_search(physical: ContentionGraph, n_channels: int,
                       utility: Callable[[ContentionGraph, Sequence[int]], float]
                       | None = None,
@@ -323,7 +348,10 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
 
     Candidates are scanned in lexicographic order and ties keep the first,
     so the result is deterministic.  Exceeding ``budget`` candidates raises
-    BudgetExceededError before any work is done.
+    BudgetExceededError before any work is done.  Each candidate joins an
+    assignment of the first ``N // 2`` cells (the head) with one of the
+    rest (the tail); both halves' per-channel masks are built once, so the
+    heavy-load score is one OR per channel away.
     """
     if n_channels < 1:
         raise ConfigError("need at least one channel")
@@ -332,22 +360,25 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the search budget of {budget}")
+    half = n // 2
+    heads = _half_masks(n_channels, half, 0)
+    tails = _half_masks(n_channels, n - half, half)
     if utility is None:
         alpha = physical.independence_number
-        split = physical.label_masks
 
-        def score(cand: tuple[int, ...]) -> float:
-            return sum(map(alpha, split(cand))) / n
+        def score(head, head_masks, tail, tail_masks) -> float:
+            return sum(map(alpha, map(int.__or__, head_masks, tail_masks))) / n
     else:
-        def score(cand: tuple[int, ...]) -> float:
-            return float(utility(physical, cand))
+        def score(head, head_masks, tail, tail_masks) -> float:
+            return float(utility(physical, head + tail))
     best_channels: tuple[int, ...] | None = None
     best_u = -math.inf
-    for cand in itertools.product(range(1, n_channels + 1), repeat=n):
-        u = score(cand)
-        if u > best_u:
-            best_u = u
-            best_channels = cand
+    for head, head_masks in heads:
+        for tail, tail_masks in tails:
+            u = score(head, head_masks, tail, tail_masks)
+            if u > best_u:
+                best_u = u
+                best_channels = head + tail
     assert best_channels is not None
     return (ChannelAssignment(channels=best_channels, n_channels=n_channels),
             best_u)

@@ -30,6 +30,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import assign as assign_mod
 from . import ctmc, dcf, fixtures, multicell, topology
@@ -52,28 +53,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _write_csv(path: Path, columns: tuple[str, ...],
+               rows: Iterable[Sequence]) -> None:
+    """Write ``rows``, each a sequence of values aligned with ``columns``."""
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_markdown(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+def _write_markdown(path: Path, columns: tuple[str, ...],
+                    rows: Iterable[Sequence]) -> None:
     lines = ["| " + " | ".join(columns) + " |",
              "| " + " | ".join("---" for _ in columns) + " |"]
-    lines.extend("| " + " | ".join(_fmt(row[c]) for c in columns) + " |"
-                 for row in rows)
+    lines.extend("| " + " | ".join(map(_fmt, row)) + " |" for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
 def _write_table(outdir: Path, stem: str, fmt: str,
                  columns: tuple[str, ...], rows: list[dict]) -> Path:
+    aligned = [[row[c] for c in columns] for row in rows]
     if fmt == "markdown":
         path = outdir / f"{stem}.md"
-        _write_markdown(path, columns, rows)
+        _write_markdown(path, columns, aligned)
     else:
         path = outdir / f"{stem}.csv"
-        _write_csv(path, columns, rows)
+        _write_csv(path, columns, aligned)
     return path
 
 
@@ -174,24 +178,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cell_rows = [{
-        "id": cell.id,
-        "n_nodes": cell.n_nodes,
-        "x_hat": estimate.x_hat[k],
-        "x_se": x_se[k],
-        "x_model": solution.x[k],
-    } for k, cell in enumerate(parsed.cells)]
+    cell_rows = [(cell.id, cell.n_nodes, estimate.x_hat[k], x_se[k],
+                  solution.x[k]) for k, cell in enumerate(parsed.cells)]
     cells_path = outdir / f"{parsed.name}_sim_cells.csv"
     _write_csv(cells_path, _SIM_CELL_COLUMNS, cell_rows)
 
     states = sorted(set(estimate.pi_hat) | set(pi),
                     key=lambda s: (len(s), tuple(sorted(s))))
-    state_rows = [{
-        "state": _state_label(s),
-        "pi_hat": estimate.pi_hat.get(s, 0.0),
-        "pi_se": pi_se.get(s, math.nan),
-        "pi_model": pi.get(s, 0.0),
-    } for s in states]
+    state_rows = [(_state_label(s), estimate.pi_hat.get(s, 0.0),
+                   pi_se.get(s, math.nan), pi.get(s, 0.0)) for s in states]
     states_path = outdir / f"{parsed.name}_sim_states.csv"
     _write_csv(states_path, _SIM_STATE_COLUMNS, state_rows)
 
@@ -256,8 +251,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     written = [out_path]
     if trace:
         trace_path = outdir / f"{parsed.name}_utrace.csv"
-        _write_csv(trace_path, ("step", "utility"),
-                   [{"step": k + 1, "utility": u} for k, u in enumerate(trace)])
+        _write_csv(trace_path, ("step", "utility"), enumerate(trace, 1))
         written.append(trace_path)
 
     print(f"{parsed.name}: {args.method} over {n_channels} channels -> "

@@ -1,8 +1,12 @@
 """Channel assignment: utilities, learning automata, greedy peeling."""
 
+import hashlib
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlancell import assign, dcf, fixtures
@@ -102,6 +106,37 @@ def test_lri_rows_stay_stochastic_over_many_steps():
         assert (state.probs >= 0.0).all()
     assert np.allclose(state.probs.sum(axis=1), 1.0, atol=1e-9)
     assert state.step == 10_000
+
+
+@st.composite
+def la_states(draw, max_cells: int = 6, max_channels: int = 4) -> LAState:
+    n = draw(st.integers(min_value=1, max_value=max_cells))
+    m = draw(st.integers(min_value=1, max_value=max_channels))
+    row = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(any)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    b = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return LAState(probs=np.array([[w / sum(r) for w in r] for r in rows]),
+                   b=b)
+
+
+@settings(deadline=None)
+@given(state=la_states(),
+       utilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_stepped_states_pass_the_checked_constructors(state, utilities, seed):
+    n, m = state.probs.shape
+    graph = ContentionGraph(n_cells=n, edges=frozenset())
+    rng = np.random.default_rng(seed)
+    for u in utilities:
+        new, picked, got = assign.lri_step(state, graph, lambda g, a: u, rng)
+        assert got == u
+        LAState(probs=new.probs, step=new.step, b=new.b)
+        assert not new.probs.flags.writeable
+        assert new.step == state.step + 1
+        assert all(type(c) is int for c in picked.channels)
+        assert picked == ChannelAssignment(channels=picked.channels,
+                                           n_channels=m)
+        state = new
 
 
 @pytest.mark.parametrize("channels", [
@@ -279,6 +314,30 @@ def test_exhaustive_search_with_custom_utility():
     assert utility == 1.0
 
 
+def _first_maximiser(graph, m, utility):
+    best, best_u = None, -math.inf
+    for cand in itertools.product(range(1, m + 1), repeat=len(graph.vertices)):
+        u = utility(graph, cand)
+        if u > best_u:
+            best, best_u = cand, u
+    return best, best_u
+
+
+def _often_tied(graph, cand):
+    return (sum(cand) % 3) / 2
+
+
+@settings(deadline=None)
+@given(graph=graphs(), m=st.integers(min_value=1, max_value=3),
+       utility=st.sampled_from([None, _often_tied]))
+@example(graph=ContentionGraph(n_cells=1, edges=frozenset()), m=3,
+         utility=None)
+def test_exhaustive_search_equals_brute_force(graph, m, utility):
+    best, u = assign.exhaustive_search(graph, m, utility=utility)
+    assert (best.channels, u) == _first_maximiser(
+        graph, m, utility or assign.utility_theta_bar)
+
+
 def test_run_lri_converges_to_an_optimal_assignment():
     result = assign.run_lri(PATH4, 2, 0.05, seed=0)
     assert result.converged
@@ -300,6 +359,28 @@ def test_run_lri_memoises_the_utility():
     assert len(calls) == len(set(calls))  # one evaluation per assignment
     assert len(calls) <= 2 ** 4
     assert len(calls) < result.steps
+
+
+# steps, channels and sha256 digests of the utility trace (as float64)
+# and of the final rows: any change to the draws or to the update's
+# floating-point operations shows here
+@pytest.mark.parametrize("graph, m, b, seed, steps, channels, trace, probs", [
+    (ARB7, 2, 0.01, 3, 6459, (1, 1, 2, 1, 2, 2, 1),
+     "cc18d0f689707ae67b568b1f1d71b0f93639119cf7f536e0ca7ae5140e4d016f",
+     "d0f4bc9de36f788c645aa27f2e0248abe93860c5d30ae480851459627574a4e9"),
+    (PATH4, 3, 0.01, 1, 40_100, (2, 3, 1, 2),
+     "e00c4e91b6d6158c9facd42a40d9a3ccb34b366b9c3ffbc0b138e6c03012c24d",
+     "0ac0b045c72cf66fc48ddc3efc9daa1f43b08d6d0a9065f881125b908181c0d8"),
+], ids=["arbitrary7", "path4"])
+def test_run_lri_is_pinned_seed_for_seed(graph, m, b, seed, steps, channels,
+                                         trace, probs):
+    result = assign.run_lri(graph, m, b, seed=seed)
+    assert result.converged
+    assert result.steps == steps
+    assert result.assignment.channels == channels
+    utilities = np.array(result.utility_trace, dtype=np.float64)
+    assert hashlib.sha256(utilities.tobytes()).hexdigest() == trace
+    assert hashlib.sha256(result.state.probs.tobytes()).hexdigest() == probs
 
 
 def test_run_lri_step_budget():

@@ -4,10 +4,10 @@ import gc
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wlancell import assign, dcf, multicell
+from wlancell import assign, dcf, fixtures, multicell
 from wlancell.errors import BudgetExceededError, ConfigError, ConvergenceError
 from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
@@ -278,6 +278,42 @@ def test_law_probabilities_stay_in_the_unit_interval(case):
     graph, beta, rho, cells = case
     gamma, _, x = multicell.evaluate_law(graph, beta, rho, cells)
     assert all(0.0 <= v <= 1.0 for v in gamma + x)
+
+
+@st.composite
+def extreme_macs(draw) -> dcf.MacParams:
+    """MAC parameters at the edges `MacParams` accepts: retry limits up to
+    `MAX_RETRY_LIMIT`, doubling caps from 0 to far past the retry limit,
+    and ``cw_min`` at 2 or within 1024 of the largest window allowed."""
+    retry = draw(st.sampled_from([0, 1, dcf.MAX_RETRY_LIMIT])
+                 | st.integers(0, dcf.MAX_RETRY_LIMIT))
+    cap = draw(st.sampled_from([0, 1, 51, 2**31]) | st.integers(0, 51))
+    doublings = min(retry, cap)
+    assume(doublings <= 51)  # beyond that not even cw_min = 2 is accepted
+    top = (2**53 - 1) >> doublings  # largest cw_min with 2**d * cw_min < 2**53
+    cw_min = draw(st.just(2) | st.integers(max(2, top - 1024), top))
+    return dcf.MacParams(cw_min=cw_min, retry_limit=retry,
+                         backoff_doubling_cap=cap,
+                         access_mode=draw(st.sampled_from(["basic", "rtscts"])))
+
+
+@settings(deadline=None, max_examples=25)
+@given(mac=extreme_macs(), name=st.sampled_from(["path4", "hex7"]),
+       traffic_mode=st.sampled_from(["saturated", "tcp_download"]))
+def test_solver_stays_in_the_unit_interval_at_extreme_mac(mac, name,
+                                                          traffic_mode):
+    parsed = fixtures.load(name)
+    problem = MultiCellProblem(graph=parsed.graph, cells=parsed.cells,
+                               mac=mac, traffic_mode=traffic_mode)
+    try:
+        # 600 drawn cases converged within 196 iterations or not within
+        # 10,000 (cw_min 2 or 3 with many retries); the cap only shortens
+        # the second kind
+        solution = multicell.solve_fixed_point(problem, max_iter=1_000)
+    except ConvergenceError:
+        return
+    assert all(math.isfinite(g) and 0.0 <= g <= 1.0 for g in solution.gamma)
+    assert all(0.0 <= v <= 1.0 for v in solution.x)
 
 
 @pytest.mark.parametrize("factor", [1e153, 1e300])
