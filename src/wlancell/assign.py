@@ -23,20 +23,24 @@ Three assignment strategies are provided:
   independent set of the still-unassigned cells; the last channel absorbs
   the remainder.  Always yields a Nash equilibrium of the heavy-load
   utility, for any admission order.
-* `exhaustive_search` -- lexicographic brute force over all M**N
-  assignments, with a budget guard.
+* `exhaustive_search` -- the first maximiser, in lexicographic order, over
+  all M**N assignments, with a budget guard.  The heavy-load utility is
+  searched by branch-and-bound: a partial assignment is dropped once
+  ``sum over m of alpha(mask_m | unassigned cells)`` cannot beat the best
+  total found so far.  Any other utility scores every candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, check_number
 from .topology import ContentionGraph, bits
 
 #: Utility improvements below this are treated as ties when testing for
@@ -185,6 +189,47 @@ def make_fixed_point_utility(cells, mac, traffic_mode: str = "saturated",
     return utility
 
 
+def _picks(rows: list[list[float]], draws: Sequence[float], last: int
+           ) -> list[int]:
+    """0-based channel sampled in each row: the first whose cumulative
+    weight is not below ``draw * row total``, capped at ``last``.
+
+    Rows are non-negative, so their cumulative sums never decrease and
+    `bisect_left` counts the entries below the scaled draw.
+    """
+    picks = []
+    for row, draw in zip(rows, draws):
+        cum = list(accumulate(row))
+        picks.append(bisect_left(cum, draw * cum[-1], 0, last))
+    return picks
+
+
+def _reinforce(rows: list[list[float]], picks: Sequence[int], bu: float
+               ) -> float:
+    """Move each row, in place, toward its pick by ``bu``: every entry is
+    scaled by ``1 - bu`` and ``bu`` is added at the pick.  Returns the
+    smallest row maximum."""
+    keep = 1.0 - bu
+    for row, k in zip(rows, picks):
+        for j, v in enumerate(row):
+            row[j] = v * keep
+        row[k] += bu
+    return min(map(max, rows))
+
+
+def _check_utility(u: float) -> float:
+    if not 0.0 <= u <= 1.0:
+        raise ConfigError(f"utility must lie in [0, 1], got {u}")
+    return u
+
+
+def _check_seed(seed):
+    """``seed`` if it is a non-negative integer or None (fresh entropy)."""
+    if seed is not None and check_number(seed, "seed", integer=True) < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def lri_step(state: LAState, physical: ContentionGraph,
              utility: Callable[[ContentionGraph, Sequence[int]], float],
              rng: np.random.Generator
@@ -198,22 +243,23 @@ def lri_step(state: LAState, physical: ContentionGraph,
     the new rows and the sampled channels are valid by construction, so
     they skip the constructors' checks.
     """
-    p = state.probs
-    n, m = p.shape
-    cum = p.cumsum(axis=1)
-    draws = rng.random(n) * cum[:, -1]
-    picks = np.minimum((cum < draws[:, None]).sum(axis=1), m - 1)
+    n, n_channels = state.probs.shape
+    rows = state.probs.tolist()
+    picks = _picks(rows, rng.random(n).tolist(), n_channels - 1)
     assignment = _unchecked(ChannelAssignment,
-                            channels=tuple((picks + 1).tolist()), n_channels=m)
-    u = float(utility(physical, assignment))
-    if not 0.0 <= u <= 1.0:
-        raise ConfigError(f"utility must lie in [0, 1], got {u}")
-    updated = p * (1.0 - state.b * u)
-    updated[np.arange(n), picks] += state.b * u
-    updated.setflags(write=False)
-    new_state = _unchecked(LAState, probs=updated, step=state.step + 1,
+                            channels=tuple(k + 1 for k in picks),
+                            n_channels=n_channels)
+    u = _check_utility(float(utility(physical, assignment)))
+    _reinforce(rows, picks, state.b * u)
+    probs = np.array(rows)
+    probs.setflags(write=False)
+    new_state = _unchecked(LAState, probs=probs, step=state.step + 1,
                            b=state.b)
     return new_state, assignment, u
+
+
+#: Steps whose uniform draws `run_lri` takes from the generator at once.
+_DRAW_BLOCK = 1024
 
 
 def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
@@ -228,9 +274,20 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
     argmax.  If ``max_steps`` elapse first, the best-so-far argmax is
     returned with ``converged=False``.  The default utility is the
     heavy-load `utility_theta_bar`, memoised per sampled assignment.
+
+    Each step is the one `lri_step` takes, on rows kept as Python floats;
+    the uniform draws come in blocks, which yields the same stream as one
+    ``rng.random(N)`` per step, so the two agree seed for seed.
     """
     if n_channels < 1:
         raise ConfigError("need at least one channel")
+    if check_number(max_steps, "max_steps", integer=True) < 0:
+        raise ConfigError(f"max_steps must be non-negative, got {max_steps}")
+    if not 0.0 < check_number(convergence_threshold,
+                              "convergence_threshold") < 1.0:
+        raise ConfigError("convergence_threshold must lie in (0, 1), "
+                          f"got {convergence_threshold}")
+    rng = np.random.default_rng(_check_seed(seed))
     n = len(physical.vertices)
     if init is None:
         state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels), b=b)
@@ -239,30 +296,34 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
         if state.probs.shape != (n, n_channels):
             raise ConfigError("init rows do not match the graph and channels")
     base = utility_theta_bar if utility is None else utility
-    memo: dict[tuple[int, ...], float] = {}
-
-    def memoised(graph: ContentionGraph, assignment) -> float:
-        key = tuple(getattr(assignment, "channels", assignment))
-        val = memo.get(key)
-        if val is None:
-            val = base(graph, assignment)
-            memo[key] = val
-        return val
-
-    rng = np.random.default_rng(seed)
+    memo: dict[tuple[int, ...], float] = {}  # by 0-based picks
+    rows = state.probs.tolist()
+    last = n_channels - 1
+    target = 1.0 - convergence_threshold
     trace: list[float] = []
     converged = False
-    for _ in range(max_steps):
-        state, _, u = lri_step(state, physical, memoised, rng)
-        trace.append(u)
-        if state.probs.max(axis=1).min() > 1.0 - convergence_threshold:
-            converged = True
-            break
-    channels = tuple(int(c) + 1 for c in state.probs.argmax(axis=1))
+    while not converged and len(trace) < max_steps:
+        block = rng.random((min(_DRAW_BLOCK, max_steps - len(trace)), n))
+        for draws in block.tolist():
+            picks = _picks(rows, draws, last)
+            key = tuple(picks)
+            u = memo.get(key)
+            if u is None:
+                channels = tuple(k + 1 for k in picks)
+                u = _check_utility(float(base(physical, _unchecked(
+                    ChannelAssignment, channels=channels,
+                    n_channels=n_channels))))
+                memo[key] = u
+            trace.append(u)
+            if _reinforce(rows, picks, b * u) > target:
+                converged = True
+                break
+    final = LAState(probs=rows, step=state.step + len(trace), b=b)
+    channels = tuple(int(c) + 1 for c in final.probs.argmax(axis=1))
     return LriResult(
         assignment=ChannelAssignment(channels=channels, n_channels=n_channels),
-        utility_trace=tuple(trace), converged=converged, steps=state.step,
-        state=state)
+        utility_trace=tuple(trace), converged=converged, steps=final.step,
+        state=final)
 
 
 def misa(physical: ContentionGraph, n_channels: int,
@@ -280,7 +341,8 @@ def misa(physical: ContentionGraph, n_channels: int,
         raise ConfigError("need at least one channel")
     if order_policy not in _ORDER_POLICIES:
         raise ConfigError(f"order_policy must be one of {_ORDER_POLICIES}")
-    rng = np.random.default_rng(seed) if order_policy == "random" else None
+    rng = (np.random.default_rng(_check_seed(seed))
+           if order_policy == "random" else None)
     nbr = physical.nbr_masks
     remaining = (1 << physical.n_cells) - 1
     channels = [n_channels] * physical.n_cells
@@ -326,19 +388,6 @@ def is_nash_equilibrium(physical: ContentionGraph,
                       utility=u0)
 
 
-def _half_masks(n_channels: int, size: int, offset: int
-                ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every assignment of ``size`` consecutive cells from bit ``offset``,
-    in `itertools.product` order, with its bitmask per channel."""
-    out = []
-    for labels in itertools.product(range(1, n_channels + 1), repeat=size):
-        masks = [0] * n_channels
-        for k, ch in enumerate(labels, offset):
-            masks[ch - 1] |= 1 << k
-        out.append((labels, tuple(masks)))
-    return out
-
-
 def exhaustive_search(physical: ContentionGraph, n_channels: int,
                       utility: Callable[[ContentionGraph, Sequence[int]], float]
                       | None = None,
@@ -346,12 +395,14 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
                       ) -> tuple[ChannelAssignment, float]:
     """Best assignment over all ``n_channels ** N`` candidates.
 
-    Candidates are scanned in lexicographic order and ties keep the first,
-    so the result is deterministic.  Exceeding ``budget`` candidates raises
-    BudgetExceededError before any work is done.  Each candidate joins an
-    assignment of the first ``N // 2`` cells (the head) with one of the
-    rest (the tail); both halves' per-channel masks are built once, so the
-    heavy-load score is one OR per channel away.
+    Returns the first maximiser in lexicographic order of the channel
+    tuples, so the result is deterministic.  Exceeding ``budget``
+    candidates raises BudgetExceededError before any work is done.
+
+    A given ``utility`` scores every candidate in that order.  The
+    heavy-load utility instead runs a branch-and-bound over restricted
+    growth strings (see `_branch_and_bound`), which finds the same first
+    maximiser while visiting only a small share of the candidates.
     """
     if n_channels < 1:
         raise ConfigError("need at least one channel")
@@ -360,25 +411,56 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     if total > budget:
         raise BudgetExceededError(
             f"{total} assignments exceed the search budget of {budget}")
-    half = n // 2
-    heads = _half_masks(n_channels, half, 0)
-    tails = _half_masks(n_channels, n - half, half)
     if utility is None:
-        alpha = physical.independence_number
-
-        def score(head, head_masks, tail, tail_masks) -> float:
-            return sum(map(alpha, map(int.__or__, head_masks, tail_masks))) / n
+        best_channels, best_total = _branch_and_bound(physical, n_channels)
+        best_u = best_total / n
     else:
-        def score(head, head_masks, tail, tail_masks) -> float:
-            return float(utility(physical, head + tail))
-    best_channels: tuple[int, ...] | None = None
-    best_u = -math.inf
-    for head, head_masks in heads:
-        for tail, tail_masks in tails:
-            u = score(head, head_masks, tail, tail_masks)
+        best_channels, best_u = None, -math.inf
+        for channels in product(range(1, n_channels + 1), repeat=n):
+            u = float(utility(physical, channels))
             if u > best_u:
-                best_u = u
-                best_channels = head + tail
-    assert best_channels is not None
+                best_channels, best_u = channels, u
     return (ChannelAssignment(channels=best_channels, n_channels=n_channels),
             best_u)
+
+
+def _branch_and_bound(physical: ContentionGraph, n_channels: int
+                      ) -> tuple[tuple[int, ...], int]:
+    """First maximiser of the co-channel independence-number total, in
+    lexicographic order of all channel tuples, and that total.
+
+    The total depends only on the channel classes, and relabelling any
+    maximiser by first use gives a maximiser no later in lexicographic
+    order, so the first maximiser is a restricted growth string (each
+    cell takes a channel already in use or the next unused one).  The
+    depth-first search visits those strings in lexicographic order and
+    keeps a candidate only if it beats the incumbent strictly.  With the
+    first ``k`` cells assigned, channel ``m`` can reach at most
+    ``alpha(mask_m | unassigned)``, as ``alpha`` is monotone; a subtree
+    whose bounds sum to no more than the incumbent's total is pruned.
+    """
+    alpha = physical.independence_number
+    n = physical.n_cells
+    full = (1 << n) - 1
+    masks = [0] * n_channels
+    channels = [0] * n
+    best: tuple[tuple[int, ...], int] = ((), -1)
+
+    def visit(k: int, used: int) -> None:
+        nonlocal best
+        rest = full ^ ((1 << k) - 1)
+        bound = sum(alpha(mask | rest) for mask in masks)
+        if bound <= best[1]:
+            return
+        if k == n:
+            best = (tuple(channels), bound)
+            return
+        bit = 1 << k
+        for m in range(min(used + 1, n_channels)):
+            masks[m] |= bit
+            channels[k] = m + 1
+            visit(k + 1, max(used, m + 1))
+            masks[m] ^= bit
+
+    visit(0, 0)
+    return best

@@ -251,7 +251,11 @@ def cmd_assign(args: argparse.Namespace) -> int:
     written = [out_path]
     if trace:
         trace_path = outdir / f"{parsed.name}_utrace.csv"
-        _write_csv(trace_path, ("step", "utility"), enumerate(trace, 1))
+        # a trace repeats a few distinct utilities over many steps, so
+        # each is formatted once; the bytes are `_write_csv`'s
+        label = {u: _fmt(u) for u in set(trace)}
+        trace_path.write_text("step,utility\n" + "".join(
+            f"{k},{label[u]}\n" for k, u in enumerate(trace, 1)))
         written.append(trace_path)
 
     print(f"{parsed.name}: {args.method} over {n_channels} channels -> "

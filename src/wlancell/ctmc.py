@@ -47,6 +47,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if check_number(self.horizon, "horizon") <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        if check_number(self.seed, "seed", integer=True) < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigError("warmup_fraction must lie in [0, 1)")
         if self.active_time_distribution not in _DISTRIBUTIONS:

@@ -327,11 +327,12 @@ def _often_tied(graph, cand):
     return (sum(cand) % 3) / 2
 
 
-@settings(deadline=None)
-@given(graph=graphs(), m=st.integers(min_value=1, max_value=3),
+@settings(deadline=None, max_examples=200)
+@given(graph=graphs(), m=st.integers(min_value=1, max_value=4),
        utility=st.sampled_from([None, _often_tied]))
 @example(graph=ContentionGraph(n_cells=1, edges=frozenset()), m=3,
          utility=None)
+@example(graph=ARB7, m=4, utility=None)
 def test_exhaustive_search_equals_brute_force(graph, m, utility):
     best, u = assign.exhaustive_search(graph, m, utility=utility)
     assert (best.channels, u) == _first_maximiser(
@@ -381,6 +382,53 @@ def test_run_lri_is_pinned_seed_for_seed(graph, m, b, seed, steps, channels,
     utilities = np.array(result.utility_trace, dtype=np.float64)
     assert hashlib.sha256(utilities.tobytes()).hexdigest() == trace
     assert hashlib.sha256(result.state.probs.tobytes()).hexdigest() == probs
+
+
+def _seeded_utility(seed: int):
+    """A utility that depends on the sampled channels and on ``seed``."""
+    def utility(graph, assignment):
+        key = f"{seed}:{tuple(getattr(assignment, 'channels', assignment))}"
+        return int(hashlib.sha256(key.encode()).hexdigest()[:8], 16) / 2**32
+    return utility
+
+
+@settings(deadline=None, max_examples=25)
+@given(init=la_states(),
+       reward=st.one_of(st.floats(0.0, 1.0),
+                        st.integers(min_value=0, max_value=2**32 - 1)),
+       max_steps=st.sampled_from([1023, 1024, 1025, 2_500]),
+       threshold=st.sampled_from([1e-3, 0.2]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(init=LAState(probs=np.full((5, 3), 1 / 3), b=0.001), reward=7,
+         max_steps=1025, threshold=1e-3, seed=0)
+@example(init=LAState(probs=np.full((4, 2), 0.5), b=0.002), reward=8,
+         max_steps=2_500, threshold=1e-3, seed=1)
+def test_run_lri_equals_iterated_lri_step(init, reward, max_steps, threshold,
+                                          seed):
+    """Block draws and list rows follow `lri_step` seed for seed, also
+    across the edges of the draw blocks."""
+    utility = (_seeded_utility(reward) if isinstance(reward, int)
+               else lambda g, a: reward)
+    n, m = init.probs.shape
+    graph = ContentionGraph(n_cells=n, edges=frozenset())
+    result = assign.run_lri(graph, m, init.b, init=init, max_steps=max_steps,
+                            convergence_threshold=threshold, seed=seed,
+                            utility=utility)
+    state, trace = init, []
+    rng = np.random.default_rng(seed)
+    for _ in range(max_steps):
+        state, _, u = assign.lri_step(state, graph, utility, rng)
+        trace.append(u)
+        if state.probs.max(axis=1).min() > 1.0 - threshold:
+            break
+    assert result.steps == state.step == len(trace)
+    assert result.converged == (state.probs.max(axis=1).min()
+                                > 1.0 - threshold)
+    assert result.utility_trace == tuple(trace)
+    assert (hashlib.sha256(result.state.probs.tobytes()).hexdigest()
+            == hashlib.sha256(state.probs.tobytes()).hexdigest())
+    assert result.assignment.channels == tuple(
+        int(c) + 1 for c in state.probs.argmax(axis=1))
 
 
 def test_run_lri_step_budget():

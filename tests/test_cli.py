@@ -263,6 +263,26 @@ def test_assign_rejects_a_channel_count_below_one(tmp_path, capsys, method,
     assert "at least one channel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("assign", "--method", "lri", "--seed", "-1"), "seed"),
+    (("assign", "--method", "misa", "--order", "random", "--seed", "-1"),
+     "seed"),
+    (("simulate", "--horizon", "1", "--seed", "-1"), "seed"),
+    (("assign", "--method", "lri", "--steps", "-5"), "max_steps"),
+    (("assign", "--method", "lri", "--threshold", "2"),
+     "convergence_threshold"),
+    (("assign", "--method", "lri", "--threshold", "0"),
+     "convergence_threshold"),
+    (("assign", "--method", "lri", "--threshold", "nan"),
+     "convergence_threshold"),
+], ids=["lri-seed", "misa-seed", "simulate-seed", "steps", "threshold-2",
+        "threshold-0", "threshold-nan"])
+def test_bad_seeds_and_lri_settings_exit_2(tmp_path, capsys, argv, what):
+    assert _run(*argv, "--input", "path4", "--out", str(tmp_path)) == 2
+    assert what in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_attempt_probability_above_one_exits_2(tmp_path, capsys):
     assert _run("analyze", "--input", "path4", "--out", str(tmp_path),
                 "--mac-cw-min", "1") == 2

@@ -20,6 +20,7 @@ PAIR = ContentionGraph(n_cells=2, edges=frozenset({(1, 2)}))
     {"horizon": 10.0, "warmup_fraction": 1.0},
     {"horizon": 10.0, "warmup_fraction": -0.1},
     {"horizon": 10.0, "active_time_distribution": "pareto"},
+    {"horizon": 10.0, "seed": -1},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
