@@ -30,10 +30,13 @@ fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
 throughput into its networked throughput.  It has a closed form in terms
 of two independent-set partition sums (Theorem 1), ``x_i = (1 + rho_i) *
 Z_i / Z``, which `evaluate_law` reads off `wlancell.topology.partition_sum`.
-The per-state kernels over the enumerated states
-(`stationary_distribution`, `collision_probabilities`,
-`unblocked_fractions_direct`) are the cross-check: both routes agree to
-near machine precision.
+The kernels over the enumerated states (`stationary_distribution`,
+`collision_probabilities`, `unblocked_fractions_direct`) are the
+cross-check: both routes agree to near machine precision.  The kernels
+are array algebra over the states' bitmasks.  Their products run in
+ascending cell order, as a walk over the states would, and every sum is
+`math.fsum`, which rounds the exact sum once whatever the order of its
+terms; so they are bit for bit the per-state sums.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from typing import Mapping, Sequence
 from . import dcf
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
 from .topology import (MAX_CELLS, CellSpec, ContentionGraph,
-                       IndependentSetFamily, bits, partition_sum)
+                       IndependentSetFamily, bits, check_weights,
+                       partition_sum)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
 
@@ -156,27 +160,54 @@ def mean_active_duration(beta: float, n_nodes: int,
     return p_succ * t_success + (1.0 - p_succ) * t_collision
 
 
+def _bit_matrix(masks: Sequence[int], n: int):
+    """``(n, S)`` boolean array whose row ``k`` marks the masks that hold
+    bit ``k`` (cell ``k + 1``), for ``n`` up to 64 cells."""
+    import numpy as np
+
+    # one row per byte of the little-endian words, then one per bit
+    octets = np.array(masks, dtype="<u8").view(np.uint8).reshape(-1, 8).T
+    return np.unpackbits(octets.copy(), axis=0, count=n,
+                         bitorder="little").view(bool)
+
+
+def _state_probabilities(family: IndependentSetFamily,
+                         pi: Mapping[frozenset[int], float]):
+    """``pi`` as an array aligned with ``family.states``."""
+    import numpy as np
+
+    return np.fromiter(map(pi.__getitem__, family.states), dtype=float,
+                       count=len(family.states))
+
+
 def stationary_distribution(family: IndependentSetFamily,
                             rho: Sequence[float]
                             ) -> dict[frozenset[int], float]:
     """Product-form stationary law over the independent-set states.
 
-    Each state's weight is the product of its members' occupation ratios;
-    weights are normalised with compensated summation.  ``rho`` is aligned
-    with ``family.graph.vertices``.  Raises ConfigError on overflow.
+    Each state's weight is the product of its members' occupation ratios,
+    multiplied in ascending cell order; weights are normalised with
+    compensated summation.  ``rho`` is aligned with
+    ``family.graph.vertices`` and checked by
+    `wlancell.topology.check_weights`.  Raises ConfigError when the
+    weights overflow.
     """
-    if len(rho) != len(family.graph.vertices):
-        raise ConfigError("rho must align with the graph vertices")
-    if any(r < 0 for r in rho):
-        raise ConfigError("occupation ratios must be non-negative")
-    weights = [math.prod(rho[k] for k in bits(mask)) for mask in family.masks]
+    import numpy as np
+
+    check_weights(family.graph, rho)
+    members = _bit_matrix(family.masks, len(rho))
+    weights = np.ones(len(family.masks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, r in enumerate(rho):
+            weights = np.where(members[k], weights * r, weights)
     try:
-        z = math.fsum(weights)
+        z = math.fsum(memoryview(weights))
     except OverflowError:
         z = math.inf
-    if z == math.inf:
+    # an overflowed weight is inf, or nan once multiplied by a zero ratio
+    if not math.isfinite(z):
         raise ConfigError("occupation ratios overflow the state weights")
-    return {state: w / z for state, w in zip(family.states, weights)}
+    return dict(zip(family.states, (weights / z).tolist()))
 
 
 def collision_probabilities(family: IndependentSetFamily,
@@ -190,39 +221,46 @@ def collision_probabilities(family: IndependentSetFamily,
     every other station in the cell stays quiet *and* every neighbouring
     cell that is also in backoff stays quiet for that slot.  Cells whose
     probability of ever being in backoff is below the starvation floor get
-    ``gamma = 1`` and a True flag.
+    ``gamma = 1`` and a True flag.  Per cell, the states where it is in
+    backoff are selected at once; neighbour silences multiply in
+    ascending cell order.
     """
+    import numpy as np
+
     verts = family.graph.vertices
     nbr = family.graph.nbr_masks
     n_by_id = {c.id: c.n_nodes for c in cells}
     n_nodes = [n_by_id[v] for v in verts]
     silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
     silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
-    num_terms: list[list[float]] = [[] for _ in verts]
-    den_terms: list[list[float]] = [[] for _ in verts]
-    for state, free in zip(family.states, family.free):
-        p = pi[state]
-        for k in bits(free):
-            silent_nbrs = math.prod(silent_cell[j] for j in bits(nbr[k] & free))
-            num_terms[k].append(p * (1.0 - silent_own[k] * silent_nbrs))
-            den_terms[k].append(p)
-    dens = [math.fsum(terms) for terms in den_terms]
-    starved = tuple(den < STARVATION_FLOOR for den in dens)
-    gammas = tuple(1.0 if s else math.fsum(num) / den
-                   for num, den, s in zip(num_terms, dens, starved))
-    return gammas, starved
+    p = _state_probabilities(family, pi)
+    backoff = _bit_matrix(family.free, len(verts))
+    gammas, starved = [], []
+    for k in range(len(verts)):
+        rows = backoff[k]
+        p_k = p[rows]
+        den = math.fsum(memoryview(p_k))
+        starved.append(den < STARVATION_FLOOR)
+        if starved[-1]:
+            gammas.append(1.0)
+            continue
+        silent_nbrs = np.ones(len(p_k))
+        for j in bits(nbr[k]):
+            silent_nbrs = np.where(backoff[j][rows],
+                                   silent_nbrs * silent_cell[j], silent_nbrs)
+        num = p_k * (1.0 - silent_own[k] * silent_nbrs)
+        gammas.append(math.fsum(memoryview(num)) / den)
+    return tuple(gammas), tuple(starved)
 
 
 def unblocked_fractions_direct(family: IndependentSetFamily,
                                pi: Mapping[frozenset[int], float]
                                ) -> tuple[float, ...]:
     """Fraction of time each cell is active or in backoff, from ``pi``."""
-    terms: list[list[float]] = [[] for _ in family.graph.vertices]
-    for state, mask, free in zip(family.states, family.masks, family.free):
-        p = pi[state]
-        for k in bits(mask | free):
-            terms[k].append(p)
-    return tuple(math.fsum(t) for t in terms)
+    n = len(family.graph.vertices)
+    p = _state_probabilities(family, pi)
+    unblocked = _bit_matrix(family.masks, n) | _bit_matrix(family.free, n)
+    return tuple(math.fsum(memoryview(p[rows])) for rows in unblocked)
 
 
 def evaluate_law(graph: ContentionGraph, beta: Sequence[float],

@@ -27,8 +27,8 @@ build on it.  Graphs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from math import dist, isfinite
+from functools import cache, cached_property, lru_cache
+from math import dist, inf, isfinite
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ConfigError, check_number
@@ -38,6 +38,10 @@ MAX_CELLS = 25
 
 #: Most independent sets `enumerate_state_space` builds (BudgetExceededError).
 MAX_STATES = 10_000_000
+
+#: Most entries each of a graph's memos (`ContentionGraph.independence_number`
+#: and `maximum_set_count`) keeps; the least recently used go first.
+GRAPH_MEMO_SIZE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -108,12 +112,13 @@ class ContentionGraph:
     def independence_number(self) -> Callable[[int], int]:
         """Size of a largest independent set among the cells of a bitmask.
 
-        Memoised for the life of the graph; branches on whether the lowest
-        cell stays out, or joins and drops its neighbours.
+        Branches on whether the lowest cell stays out, or joins and drops
+        its neighbours.  Memoised for the life of the graph, in an LRU
+        memo of at most `GRAPH_MEMO_SIZE` (131,072) entries.
         """
         nbr = self.nbr_masks
 
-        @cache
+        @lru_cache(maxsize=GRAPH_MEMO_SIZE)
         def alpha(mask: int) -> int:
             if not mask:
                 return 0
@@ -126,11 +131,15 @@ class ContentionGraph:
 
     @cached_property
     def maximum_set_count(self) -> Callable[[int], int]:
-        """Number of largest independent sets among the cells of a bitmask,
-        memoised like `independence_number`, whose branches it follows."""
+        """Number of largest independent sets among the cells of a bitmask.
+
+        Follows the branches of `independence_number`, and is memoised
+        like it: for the life of the graph, in an LRU memo of at most
+        `GRAPH_MEMO_SIZE` (131,072) entries.
+        """
         nbr, alpha = self.nbr_masks, self.independence_number
 
-        @cache
+        @lru_cache(maxsize=GRAPH_MEMO_SIZE)
         def eta(mask: int) -> int:
             if not mask:
                 return 1
@@ -172,19 +181,29 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_weights(graph: ContentionGraph, weights: Sequence[float]) -> None:
+    """Raise ConfigError unless ``weights`` (occupation ratios) align with
+    ``graph.vertices`` and each is finite and non-negative; the message
+    names the first offending cell."""
+    if len(weights) != len(graph.vertices):
+        raise ConfigError("rho must align with the graph vertices")
+    for v, r in zip(graph.vertices, weights):
+        if not 0.0 <= r < inf:
+            raise ConfigError(f"occupation ratio of cell {v} must be finite "
+                              f"and non-negative, got {r!r}")
+
+
 def partition_sum(graph: ContentionGraph, weights: Sequence[float]
                   ) -> tuple[Callable[[int], float], float]:
     """``(Z, Z(full))``: the weighted independent-set sum within a bitmask.
 
     ``Z(mask) = Z(rest) + w_low * Z(rest minus low's neighbours)``,
     branching on the lowest cell, memoised for this call only.
-    ``weights`` is aligned with ``graph.vertices``.  Raises ConfigError
-    when the sum over the whole graph overflows.
+    ``weights`` is aligned with ``graph.vertices`` and checked by
+    `check_weights`.  Raises ConfigError when the sum over the whole
+    graph overflows.
     """
-    if len(weights) != len(graph.vertices):
-        raise ConfigError("rho must align with the graph vertices")
-    if any(r < 0 for r in weights):
-        raise ConfigError("occupation ratios must be non-negative")
+    check_weights(graph, weights)
     nbr = graph.nbr_masks
 
     @cache
@@ -210,8 +229,10 @@ class IndependentSetFamily:
     deterministic (size, then lexicographic) order.  Aligned with it,
     ``masks`` holds each state's active cells and ``free`` its cells in
     backoff (no active neighbour), both as bitmasks over
-    ``graph.vertices``; the remaining cells are blocked.  The graph counts
-    the maximum independent sets (`ContentionGraph.maximum_set_profile`).
+    ``graph.vertices``; the remaining cells are blocked.  The kernels of
+    `wlancell.multicell` unpack these masks into boolean arrays and
+    evaluate the stationary law on them.  The graph counts the maximum
+    independent sets (`ContentionGraph.maximum_set_profile`).
     """
 
     graph: ContentionGraph
@@ -260,13 +281,14 @@ def logical_graph(physical: ContentionGraph,
 def enumerate_state_space(graph: ContentionGraph) -> IndependentSetFamily:
     """Enumerate every independent set of ``graph`` and classify each state.
 
-    Grows the sets one size at a time, extending each by vertices above
-    its largest member, which yields them already in (size, then
-    lexicographic) order.  Budgets guard against exponential blow-up:
-    more than `MAX_CELLS` vertices or `MAX_STATES` independent sets
-    raise BudgetExceededError.  The sets are counted (`partition_sum` at
-    unit weights, exact below 2**53) before any is built, so an oversized
-    graph fails fast.
+    Grows the sets one size at a time, extending each by the cells above
+    its largest member that no member neighbours, which yields them
+    already in (size, then lexicographic) order; each new frozenset is
+    its parent's plus one cell.  Budgets guard against exponential
+    blow-up: more than `MAX_CELLS` vertices or `MAX_STATES` independent
+    sets raise BudgetExceededError.  The sets are counted
+    (`partition_sum` at unit weights, exact below 2**53) before any is
+    built, so an oversized graph fails fast.
     """
     verts = graph.vertices
     n = len(verts)
@@ -280,20 +302,29 @@ def enumerate_state_space(graph: ContentionGraph) -> IndependentSetFamily:
             f"{int(n_states)} independent sets exceed MAX_STATES={MAX_STATES}")
     nbr = graph.nbr_masks
     full = (1 << n) - 1
+    singles = [frozenset((v,)) for v in verts]
+    states: list[frozenset[int]] = []
     masks: list[int] = []
     free: list[int] = []
-    # (members, members' neighbours, lowest vertex that may still join)
-    level = [(0, 0, 0)]
+    # (members as a set and as a mask, members' neighbours, cells that
+    # may no longer join: those neighbours and every cell up to the last
+    # member)
+    level = [(frozenset(), 0, 0, 0)]
     while level:
         current, level = level, []
-        for mask, covered, start in current:
+        for state, mask, covered, closed in current:
+            states.append(state)
             masks.append(mask)
             free.append(full & ~(mask | covered))
-            for k in bits(full & ~covered & -(1 << start)):
-                level.append((mask | 1 << k, covered | nbr[k], k + 1))
-
-    states = tuple(frozenset(verts[k] for k in bits(m)) for m in masks)
-    return IndependentSetFamily(graph=graph, states=states,
+            avail = full & ~closed
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                k = low.bit_length() - 1
+                grown = covered | nbr[k]
+                level.append((state | singles[k], mask | low, grown,
+                              grown | (low << 1) - 1))
+    return IndependentSetFamily(graph=graph, states=tuple(states),
                                 masks=tuple(masks), free=tuple(free))
 
 

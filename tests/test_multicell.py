@@ -2,6 +2,8 @@
 
 import gc
 import math
+import random
+import warnings
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +13,7 @@ from wlancell import assign, dcf, fixtures, multicell
 from wlancell.errors import BudgetExceededError, ConfigError, ConvergenceError
 from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
-                               enumerate_state_space)
+                               enumerate_state_space, partition_sum)
 
 from conftest import closed_form_x, solve_fixture, stationary_law
 
@@ -152,6 +154,140 @@ def reference_collision_probabilities(family, pi, beta, cells):
         starved.append(den < multicell.STARVATION_FLOOR)
         gammas.append(1.0 if starved[-1] else math.fsum(num_terms) / den)
     return tuple(gammas), tuple(starved)
+
+
+def loop_state_space(graph):
+    """`enumerate_state_space` as a per-state loop: ``(states, masks,
+    free)`` by a level-by-level search over Python ints."""
+    verts, nbr = graph.vertices, graph.nbr_masks
+    full = (1 << len(verts)) - 1
+    masks, free = [], []
+    # (members, members' neighbours, lowest vertex that may still join)
+    level = [(0, 0, 0)]
+    while level:
+        current, level = level, []
+        for mask, covered, start in current:
+            masks.append(mask)
+            free.append(full & ~(mask | covered))
+            for k in bits(full & ~covered & -(1 << start)):
+                level.append((mask | 1 << k, covered | nbr[k], k + 1))
+    states = tuple(frozenset(verts[k] for k in bits(m)) for m in masks)
+    return states, tuple(masks), tuple(free)
+
+
+def loop_stationary_distribution(family, rho):
+    """`multicell.stationary_distribution` as a per-state loop: one
+    `math.prod` per state, ascending cells; ConfigError where the
+    weights are not finite."""
+    weights = [math.prod(rho[k] for k in bits(mask)) for mask in family.masks]
+    try:
+        z = math.fsum(weights)
+    except OverflowError:
+        z = math.inf
+    if not math.isfinite(z):
+        raise ConfigError("occupation ratios overflow the state weights")
+    return {state: w / z for state, w in zip(family.states, weights)}
+
+
+def loop_collision_probabilities(family, pi, beta, cells):
+    """`multicell.collision_probabilities` as a per-state loop over the
+    cells in backoff, neighbour silences multiplied in ascending order."""
+    verts = family.graph.vertices
+    nbr = family.graph.nbr_masks
+    n_by_id = {c.id: c.n_nodes for c in cells}
+    n_nodes = [n_by_id[v] for v in verts]
+    silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
+    silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
+    num_terms = [[] for _ in verts]
+    den_terms = [[] for _ in verts]
+    for state, free in zip(family.states, family.free):
+        p = pi[state]
+        for k in bits(free):
+            silent_nbrs = math.prod(silent_cell[j] for j in bits(nbr[k] & free))
+            num_terms[k].append(p * (1.0 - silent_own[k] * silent_nbrs))
+            den_terms[k].append(p)
+    dens = [math.fsum(terms) for terms in den_terms]
+    starved = tuple(den < multicell.STARVATION_FLOOR for den in dens)
+    gammas = tuple(1.0 if s else math.fsum(num) / den
+                   for num, den, s in zip(num_terms, dens, starved))
+    return gammas, starved
+
+
+def loop_unblocked_fractions(family, pi):
+    """`multicell.unblocked_fractions_direct` as a per-state loop."""
+    terms = [[] for _ in family.graph.vertices]
+    for state, mask, free in zip(family.states, family.masks, family.free):
+        for k in bits(mask | free):
+            terms[k].append(pi[state])
+    return tuple(math.fsum(t) for t in terms)
+
+
+#: Occupation ratios at the edges of the kernels' arithmetic: products
+#: that vanish, go subnormal, stay exact, or overflow from three factors.
+EDGE_RHO = (0.0, math.ulp(0.0), 1.0, 1e150)
+
+
+def shuffled_lattice_case(side: int, seed: int):
+    """A ``side`` x ``side`` four-neighbour lattice with shuffled ids, as a
+    `kernel_cases` case: one cell gets the overflowing edge ratio, the
+    others cycle through the other three and two ratios between."""
+    ids = list(range(1, side * side + 1))
+    random.Random(seed).shuffle(ids)
+    at = {(r, c): ids[r * side + c] for r in range(side) for c in range(side)}
+    edges = frozenset((min(v, at[r + dr, c + dc]), max(v, at[r + dr, c + dc]))
+                      for (r, c), v in at.items()
+                      for dr, dc in ((0, 1), (1, 0))
+                      if (r + dr, c + dc) in at)
+    graph = ContentionGraph(n_cells=side * side, edges=edges)
+    rho = tuple(EDGE_RHO[3] if k == 0 else (*EDGE_RHO[:3], 0.3, 2.7)[k % 5]
+                for k in range(side * side))
+    beta = tuple(0.01 + 0.9 * k / (side * side) for k in range(side * side))
+    cells = tuple(CellSpec(id=v, n_nodes=1 + v % 20) for v in graph.vertices)
+    return graph, rho, beta, cells
+
+
+@st.composite
+def kernel_cases(draw, max_cells: int = 12):
+    """A random graph with ratios from `EDGE_RHO` or of any size between,
+    ``beta`` in [0, 1) and 1 to 20 stations per cell.  Only the ratios
+    between make the order of a product show in its rounding."""
+    graph, _ = draw(graphs_with_rho(max_cells=max_cells))
+    n = len(graph.vertices)
+    rho = tuple(draw(st.lists(
+        st.sampled_from(EDGE_RHO) | st.floats(min_value=1e-3, max_value=1e3),
+        min_size=n, max_size=n)))
+    beta = tuple(draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                         exclude_max=True),
+                               min_size=n, max_size=n)))
+    cells = tuple(CellSpec(id=v, n_nodes=draw(st.integers(1, 20)))
+                  for v in graph.vertices)
+    return graph, rho, beta, cells
+
+
+@settings(deadline=None)
+@given(case=kernel_cases())
+@example(case=shuffled_lattice_case(5, seed=0))
+# a star whose centre hears three leaves in backoff at once: the order of
+# their silences shows in the centre's collision probability
+@example(case=(ContentionGraph(n_cells=4, edges=frozenset({(1, 2), (1, 3),
+                                                           (1, 4)})),
+               (1.0,) * 4, (0.05, 0.1, 0.15, 0.2), path_cells(4, n_nodes=3)))
+def test_array_kernels_equal_the_per_state_loops(case):
+    graph, rho, beta, cells = case
+    family = enumerate_state_space(graph)
+    assert (family.states, family.masks, family.free) == loop_state_space(graph)
+    try:
+        ref_pi = loop_stationary_distribution(family, rho)
+    except ConfigError:
+        with pytest.raises(ConfigError, match="overflow"):
+            multicell.stationary_distribution(family, rho)
+        return
+    pi = multicell.stationary_distribution(family, rho)
+    assert list(pi.items()) == list(ref_pi.items())
+    assert (multicell.collision_probabilities(family, pi, beta, cells)
+            == loop_collision_probabilities(family, pi, beta, cells))
+    assert (multicell.unblocked_fractions_direct(family, pi)
+            == loop_unblocked_fractions(family, pi))
 
 
 @given(case=graphs_with_rho(), data=st.data())
@@ -314,6 +450,41 @@ def test_solver_stays_in_the_unit_interval_at_extreme_mac(mac, name,
         return
     assert all(math.isfinite(g) and 0.0 <= g <= 1.0 for g in solution.gamma)
     assert all(0.0 <= v <= 1.0 for v in solution.x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_non_finite_ratios_raise_naming_the_cell(bad):
+    graph = ContentionGraph(n_cells=4, edges=frozenset({(1, 2), (2, 3),
+                                                        (3, 4)}))
+    family = enumerate_state_space(graph)
+    rho = (0.5, 1.0, bad, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (
+                lambda: multicell.stationary_distribution(family, rho),
+                lambda: partition_sum(graph, rho),
+                lambda: multicell.evaluate_law(graph, (0.1,) * 4, rho,
+                                               path_cells(4))):
+            with pytest.raises(ConfigError, match="cell 3 .* finite and "
+                                                  "non-negative"):
+                route()
+
+
+@pytest.mark.parametrize("rho", [
+    (1e200, 1.0, 1e200, 1.0),  # the state {1, 3} weighs 1e400
+    (1e200, 1e200, 0.0, 1.0),  # 1e400 times 0 is nan in state {1, 2, 3}
+])
+def test_overflowing_state_weights_raise_without_warnings(rho):
+    # cells 1-3 independent; cell 4 neighbours all of them
+    graph = ContentionGraph(n_cells=4, edges=frozenset({(1, 4), (2, 4),
+                                                        (3, 4)}))
+    family = enumerate_state_space(graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="overflow"):
+            multicell.stationary_distribution(family, rho)
+        with pytest.raises(ConfigError, match="overflow"):
+            partition_sum(graph, rho)
 
 
 @pytest.mark.parametrize("factor", [1e153, 1e300])

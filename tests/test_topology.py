@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from wlancell import fixtures
 from wlancell.errors import BudgetExceededError, ConfigError
-from wlancell.topology import (CellSpec, ContentionGraph, bits,
-                               build_physical_graph, enumerate_state_space,
-                               logical_graph, parse_topology)
+from wlancell.topology import (GRAPH_MEMO_SIZE, CellSpec, ContentionGraph,
+                               bits, build_physical_graph,
+                               enumerate_state_space, logical_graph,
+                               parse_topology)
 
 PATH4_EDGES = frozenset({(1, 2), (2, 3), (3, 4)})
 
@@ -173,6 +175,48 @@ def test_maximum_set_profile_matches_brute_force(data):
         eta_i = tuple(sum(m >> k & 1 for m in largest)
                       for k in range(len(graph.vertices)))
         assert graph.maximum_set_profile(mask) == (alpha, len(largest), eta_i)
+
+
+def king_grid(side: int) -> ContentionGraph:
+    """``side`` x ``side`` cells, each contending with all eight around it."""
+    at = {(r, c): r * side + c + 1 for r in range(side) for c in range(side)}
+    return ContentionGraph(n_cells=side * side, edges=frozenset(
+        (v, at[r + dr, c + dc]) for (r, c), v in at.items()
+        for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1))
+        if (r + dr, c + dc) in at))
+
+
+def fresh_profile(nbr, mask: int) -> tuple[int, int]:
+    """``(alpha, eta)`` of ``mask`` by the graph memos' branching, with a
+    memo of this query's own."""
+    memo = {0: (0, 1)}
+
+    def profile(m: int) -> tuple[int, int]:
+        if m not in memo:
+            low = m & -m
+            rest = m ^ low
+            a_out, e_out = profile(rest)
+            a_in, e_in = profile(rest & ~nbr[low.bit_length() - 1])
+            a_in += 1
+            memo[m] = (max(a_out, a_in), (e_out if a_out >= a_in else 0)
+                       + (e_in if a_in >= a_out else 0))
+        return memo[m]
+
+    return profile(mask)
+
+
+def test_graph_memos_stay_bounded():
+    graph = king_grid(5)
+    rng = random.Random(0)
+    masks = [rng.getrandbits(25) for _ in range(20_000)]
+    got = [(graph.independence_number(m), graph.maximum_set_count(m))
+           for m in masks]
+    memos = (graph.independence_number, graph.maximum_set_count)
+    assert all(memo.cache_info().maxsize == GRAPH_MEMO_SIZE for memo in memos)
+    # alpha's memo filled up and evicted; both stayed within the bound
+    assert memos[0].cache_info().currsize == GRAPH_MEMO_SIZE
+    assert memos[1].cache_info().currsize <= GRAPH_MEMO_SIZE
+    assert got == [fresh_profile(graph.nbr_masks, m) for m in masks]
 
 
 def test_enumeration_budgets():
