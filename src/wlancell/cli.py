@@ -42,6 +42,9 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BUDGET = 4
 
+#: Most payload points one ``sweep --sweep payload`` accepts (exit 2).
+MAX_SWEEP_POINTS = 100_000
+
 _FIELD_TYPES = {"float": float, "int": int, "str": str}
 
 
@@ -268,7 +271,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_payload_range(text: str) -> list[int]:
+def _parse_payload_range(text: str) -> range:
     try:
         parts = [int(p) for p in text.split(":")]
     except ValueError as exc:
@@ -277,7 +280,11 @@ def _parse_payload_range(text: str) -> list[int]:
         raise ConfigError(
             f"payload range must be min:max:step with min <= max, got {text!r}")
     lo, hi, step = parts
-    return list(range(lo, hi + 1, step))
+    points = range(lo, hi + 1, step)
+    if len(points) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"payload range {text!r} has {len(points)} points, "
+                          f"more than {MAX_SWEEP_POINTS}")
+    return points
 
 
 def _parse_factors(text: str) -> list[float]:

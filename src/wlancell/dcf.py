@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ConfigError, ConvergenceError, check_number
 
@@ -152,10 +153,15 @@ def attempt_prob_G(gamma: float, params: MacParams) -> float:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
-    b = mean_backoffs(params)
-    weights = [gamma ** k for k in range(params.retry_limit + 1)]
+    return _attempt_prob(gamma, mean_backoffs(params))
+
+
+def _attempt_prob(gamma: float, backoffs: tuple[float, ...]) -> float:
+    """`attempt_prob_G` on an unchecked ``gamma``, given the
+    `mean_backoffs` of the MAC parameters."""
+    weights = [gamma ** k for k in range(len(backoffs))]
     attempts = sum(weights)
-    slots = sum(w * bk for w, bk in zip(weights, b))
+    slots = sum(map(mul, weights, backoffs))
     return attempts / slots
 
 
@@ -191,18 +197,20 @@ def single_cell_fixed_point(n: int, params: MacParams, *,
     """
     if n < 1:
         raise ConfigError(f"need at least one station, got n={n}")
+    backoffs = mean_backoffs(params)
     gamma = 0.0
     history: list[float] = []
     residual = float("inf")
+    # gamma stays in [0, 1] by construction: no per-iteration check
     for _ in range(max_iter):
-        beta = attempt_prob_G(gamma, params)
+        beta = _attempt_prob(gamma, backoffs)
         gamma_new = 1.0 - (1.0 - beta) ** (n - 1)
         gamma_next = (1.0 - DAMPING) * gamma + DAMPING * gamma_new
         residual = abs(gamma_next - gamma)
         gamma = gamma_next
         history.append(gamma)
         if residual < TOL:
-            beta = attempt_prob_G(gamma, params)
+            beta = _attempt_prob(gamma, backoffs)
             return SingleCellResult(
                 beta=beta, gamma=gamma,
                 throughput_pps=single_cell_throughput(n, params, beta=beta))

@@ -22,14 +22,21 @@ rate, so the network is solved as one fixed point:
    counting down backoff, since those are the only moments it can attempt)
    and maps it back to a fresh ``beta_i``.  Because the law is product
    form, these averages are ratios of weighted sums over independent
-   sets, which `evaluate_law` computes by memoised branching on one cell
-   at a time instead of walking the state list.
+   sets, which `evaluate_law` computes by branching on one cell at a
+   time instead of walking the state list.  The branching is compiled
+   once per graph into a flat program of multiply-adds
+   (`wlancell.topology.SumProgram`), which every iteration and every
+   point of a sweep on that graph reruns: bit for bit the memoised
+   recursion, since it does the same float operations in its order.
 
 Damped iteration of (1)-(3) converges to the operating point.  The
 fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
 throughput into its networked throughput.  It has a closed form in terms
 of two independent-set partition sums (Theorem 1), ``x_i = (1 + rho_i) *
-Z_i / Z``, which `evaluate_law` reads off `wlancell.topology.partition_sum`.
+Z_i / Z``, which `evaluate_law` reads off the same partition-sum program
+as `wlancell.topology.partition_sum`.  Inputs are checked at the public
+functions; the solver's own iterates lie in range by construction, so
+it runs the unchecked internals.
 The kernels over the enumerated states (`stationary_distribution`,
 `collision_probabilities`, `unblocked_fractions_direct`) are the
 cross-check: both routes agree to near machine precision.  The kernels
@@ -43,14 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 from typing import Mapping, Sequence
 
 from . import dcf
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
 from .topology import (MAX_CELLS, CellSpec, ContentionGraph,
-                       IndependentSetFamily, bits, check_weights,
-                       partition_sum)
+                       IndependentSetFamily, _partition_sums, bits,
+                       check_weights)
 
 _TRAFFIC_MODES = ("saturated", "tcp_download")
 
@@ -278,47 +284,43 @@ def evaluate_law(graph: ContentionGraph, beta: Sequence[float],
     ``gamma_k = H_k(m_k) / Z(m_k)``, where ``H_k`` branches like ``Z``,
     tracking which of ``k``'s neighbours the chosen cells block, and ends
     in `collision_probabilities`' per-state term.  Every weight is
-    positive, so no digits cancel.  ``beta`` and ``rho`` are aligned with
-    ``graph.vertices``; ``cells`` give the station counts by id.
+    positive, so no digits cancel.  Both sums run programs compiled once
+    per graph (`ContentionGraph.partition_program` and
+    `collision_program`), so later calls on the same graph object only
+    rerun them.  ``beta`` and ``rho`` are aligned with ``graph.vertices``
+    and ``rho`` is checked by `wlancell.topology.check_weights`;
+    ``cells`` give the station counts by id.
     """
-    z, z_full = partition_sum(graph, rho)
-    nbr = graph.nbr_masks
+    check_weights(graph, rho)
     n_by_id = {c.id: c.n_nodes for c in cells}
-    n_nodes = [n_by_id[v] for v in graph.vertices]
+    return _evaluate_law(graph, beta, rho,
+                         [n_by_id[v] for v in graph.vertices])
+
+
+def _evaluate_law(graph: ContentionGraph, beta: Sequence[float],
+                  rho: Sequence[float], n_nodes: Sequence[int]
+                  ) -> tuple[tuple[float, ...], tuple[bool, ...],
+                             tuple[float, ...]]:
+    """`evaluate_law` on unchecked ``rho``, with the station counts
+    aligned with ``graph.vertices``."""
+    z = _partition_sums(graph, rho)
+    z_roots = graph.partition_program.roots
+    z_full = z[z_roots[0]]
     silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
     silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
-    # (bit, silence) of each neighbour, in the kernel's ascending order
-    nbr_silence = [[(1 << j, silent_cell[j]) for j in bits(m)] for m in nbr]
-
-    @cache
-    def h(k: int, mask: int, flags: int) -> float:
-        # H_k(mask): independent sets within mask, each weighted by its
-        # rho product and by cell k's collision odds there; flags are the
-        # neighbours of k that the chosen cells block
-        if not mask:
-            silent_nbrs = math.prod(s for b, s in nbr_silence[k]
-                                    if not flags & b)
-            return 1.0 - silent_own[k] * silent_nbrs
-        low = mask & -mask
-        j = low.bit_length() - 1
-        rest = mask ^ low
-        return (h(k, rest, flags)
-                + rho[j] * h(k, rest & ~nbr[j], flags | (nbr[j] & nbr[k])))
-
-    full = (1 << len(graph.vertices)) - 1
+    silence = silent_cell.__getitem__
+    program = graph.collision_program
+    # each leaf ends in the kernel's term, neighbour silences ascending
+    h = program.run([1.0 - silent_own[k] * math.prod(map(silence, js))
+                     for k, js in program.leaves], rho)
     gamma, starved, x = [], [], []
-    for k in range(len(graph.vertices)):
-        others = full & ~(nbr[k] | 1 << k)
-        z_k = z(others)
+    for k, (z_root, h_root) in enumerate(zip(z_roots[1:], program.roots)):
+        z_k = z[z_root]
         # a fraction of time, but rounding can lift the ratio an ulp above
         # 1 (for a cell without neighbours it is exactly 1)
         x.append(min(1.0, (1.0 + rho[k]) * z_k / z_full))
         starved.append(z_k / z_full < STARVATION_FLOOR)
-        gamma.append(1.0 if starved[-1] else h(k, others, 0) / z_k)
-    # each memo's closure refers to itself: empty them now rather than
-    # leave them to the cyclic garbage collector
-    z.cache_clear()
-    h.cache_clear()
+        gamma.append(1.0 if starved[-1] else h[h_root] / z_k)
     return tuple(gamma), tuple(starved), tuple(x)
 
 
@@ -396,14 +398,16 @@ def solve_fixed_point(problem: MultiCellProblem, *,
         rho = tuple(l * m for l, m in zip(lam, mu_inv))
         return lam, mu_inv, rho
 
-    beta = tuple(dcf.attempt_prob_G(0.0, mac) for _ in cells)
+    backoffs = dcf.mean_backoffs(mac)
+    beta = (dcf._attempt_prob(0.0, backoffs),) * len(cells)
     history: list[tuple[float, ...]] = []
     residual = float("inf")
     converged_at = None
+    # rho and gamma lie in range by construction: no per-iteration checks
     for iteration in range(1, max_iter + 1):
         _, _, rho = rates(beta)
-        gamma, _, _ = evaluate_law(problem.graph, beta, rho, cells)
-        target = tuple(dcf.attempt_prob_G(g, mac) for g in gamma)
+        gamma, _, _ = _evaluate_law(problem.graph, beta, rho, n_nodes)
+        target = tuple(dcf._attempt_prob(g, backoffs) for g in gamma)
         beta_next = tuple((1.0 - dcf.DAMPING) * b + dcf.DAMPING * t
                           for b, t in zip(beta, target))
         residual = max(abs(bn - b) for bn, b in zip(beta_next, beta))
@@ -419,7 +423,7 @@ def solve_fixed_point(problem: MultiCellProblem, *,
             residual=residual, iterations=max_iter, history=history[-10:])
 
     lam, mu_inv, rho = rates(beta)
-    gamma, starved, x = evaluate_law(problem.graph, beta, rho, cells)
+    gamma, starved, x = _evaluate_law(problem.graph, beta, rho, n_nodes)
     theta_cell, theta_node, standalone = cell_throughputs(x, cells, mac)
     return FixedPointSolution(
         beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, x=x,

@@ -11,12 +11,16 @@ graph, so the reachable channel states are exactly the independent sets.
 This module enumerates that state space and, for each state, splits the
 remaining cells into blocked ones (some neighbour is active) and cells
 counting down backoff.  It also owns the sums over independent sets that
-need no enumeration, all by memoised branching on the lowest cell of a
-bitmask: the weighted partition sum (`partition_sum`), from which the
-product-form law and the state count follow, and the size and number of
-the maximum independent sets.  Those govern the heavy-load behaviour:
-under ever-growing payloads the network spends all its time in them, so
-a cell's long-run share is tied to how many of them it belongs to.
+need no enumeration, all by branching on the lowest cell of a bitmask.
+The weighted partition sum (`partition_sum`), from which the
+product-form law and the state count follow, runs a program that a
+graph compiles once (`SumProgram`, `ContentionGraph.partition_program`):
+the branching unrolled into multiply-adds, bit for bit the memoised
+recursion, and rerun on every new set of weights.  The size and number
+of the maximum independent sets are memoised per graph.  Those govern
+the heavy-load behaviour: under ever-growing payloads the network spends
+all its time in them, so a cell's long-run share is tied to how many of
+them it belongs to.
 
 Cells are identified by 1-based ids throughout, and a graph always spans
 cells ``1..n_cells``.  Inside the package a set of cells is a bitmask, bit
@@ -27,9 +31,11 @@ build on it.  Graphs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
+from itertools import count
 from math import dist, inf, isfinite
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .errors import BudgetExceededError, ConfigError, check_number
 
@@ -109,6 +115,43 @@ class ContentionGraph:
                      for v in self.vertices)
 
     @cached_property
+    def backoff_masks(self) -> tuple[int, ...]:
+        """Cells that are neither cell ``k + 1`` nor its neighbours, as a
+        bitmask, for each ``k``: the cells active while it counts down."""
+        full = (1 << self.n_cells) - 1
+        return tuple(full & ~(m | 1 << k)
+                     for k, m in enumerate(self.nbr_masks))
+
+    @cached_property
+    def partition_program(self) -> SumProgram:
+        """`SumProgram` for the partition sum ``Z`` over all cells (root
+        0) and within each of `backoff_masks` (root ``k + 1``).
+
+        Its one leaf is the empty set, of weight 1.  Compiled once for
+        the life of the graph.
+        """
+        full = (1 << self.n_cells) - 1
+        return _compile_sums(self.nbr_masks,
+                             [(0, [full, *self.backoff_masks])])
+
+    @cached_property
+    def collision_program(self) -> SumProgram:
+        """`SumProgram` for ``H_k`` within ``backoff_masks[k]`` (root
+        ``k``), for each ``k``.
+
+        ``H_k`` weighs each independent set also by cell ``k + 1``'s
+        collision odds there, so its branching tracks which of that cell's
+        neighbours the chosen cells block.  Leaf ``(k, js)`` is a set
+        after which neighbours ``js`` (ascending bit positions) are still
+        in backoff.  Compiled once for the life of the graph.
+        """
+        nbr = self.nbr_masks
+        program = _compile_sums(nbr, [(m, [others]) for m, others
+                                      in zip(nbr, self.backoff_masks)])
+        return program._replace(leaves=tuple(
+            (k, tuple(bits(nbr[k] & ~flags))) for k, flags in program.leaves))
+
+    @cached_property
     def independence_number(self) -> Callable[[int], int]:
         """Size of a largest independent set among the cells of a bitmask.
 
@@ -181,6 +224,88 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class SumProgram(NamedTuple):
+    """Weighted sums over the independent sets within bitmasks, unrolled
+    into straight-line code.
+
+    A sum within a mask branches on the mask's lowest cell ``j``: the sets
+    without ``j``, plus ``w[j]`` times the sets with ``j``, which leave out
+    its neighbours.  A program holds each distinct sub-sum that this
+    branching visits from its roots once, so its size is the number of
+    distinct sub-sums one evaluation visits.  Op ``i`` sets value slot
+    ``i`` to ``values[a[i]] + w[j[i]] * values[b[i]]``, sub-sums first;
+    the leaves (sums within the empty mask) fill the slots after the ops,
+    so an operand or root below zero is a leaf, counted from the end.
+    ``leaves`` says what each leaf slot stands for.
+    """
+
+    leaves: tuple
+    a: list[int]
+    j: list[int]
+    b: list[int]
+    roots: list[int]
+
+    def run(self, leaf_values: list[float], weights: Sequence[float]
+            ) -> list[float]:
+        """Every slot's value, given the leaves' (aligned with ``leaves``)
+        and the weights ``w``."""
+        values = [0.0] * len(self.a) + leaf_values
+        for i, a, j, b in zip(count(), self.a, self.j, self.b):
+            values[i] = values[a] + weights[j] * values[b]
+        return values
+
+
+def _compile_sums(nbr: Sequence[int],
+                  groups: Sequence[tuple[int, Sequence[int]]]) -> SumProgram:
+    """Unroll the sums within the root masks of each ``(tracked, roots)``
+    group into one `SumProgram`.
+
+    Within a group a sub-sum is keyed ``flags << n | mask``, where
+    ``flags`` are the ``tracked`` cells that the chosen cells neighbour.
+    Leaf ``(g, flags)`` ends a sum of group ``g``.
+    """
+    n = len(nbr)
+    full = (1 << n) - 1
+    keep = [~m for m in nbr]
+    leaves, a, js, b, roots = [], [], [], [], []
+    for g, (tracked, group_roots) in enumerate(groups):
+        hits = [(m & tracked) << n for m in nbr]
+        done = {}
+        first = len(leaves)
+        for mask in group_roots:
+            roots.append(_unroll(mask, full, keep, hits, done, leaves,
+                                 a, js, b))
+        leaves[first:] = [(g, key >> n) for key in leaves[first:]]
+    # the first leaf found takes the last slot
+    return SumProgram(tuple(reversed(leaves)), a, js, b, roots)
+
+
+def _unroll(key: int, full: int, keep: list[int], hits: list[int],
+            done: dict[int, int], leaves: list, a: list[int], js: list[int],
+            b: list[int]) -> int:
+    """Slot of the sub-sum keyed ``key``, unrolling first those of its
+    sub-sums that ``done`` lacks; each level drops a cell of the mask,
+    so the recursion is at most one deeper than there are cells."""
+    slot = done.get(key)
+    if slot is None:
+        if key & full:
+            low = key & -key
+            j = low.bit_length() - 1
+            rest = key ^ low
+            without = _unroll(rest, full, keep, hits, done, leaves, a, js, b)
+            within = _unroll(rest & keep[j] | hits[j], full, keep, hits,
+                             done, leaves, a, js, b)
+            slot = len(a)
+            a.append(without)
+            js.append(j)
+            b.append(within)
+        else:
+            leaves.append(key)
+            slot = -len(leaves)
+        done[key] = slot
+    return slot
+
+
 def check_weights(graph: ContentionGraph, weights: Sequence[float]) -> None:
     """Raise ConfigError unless ``weights`` (occupation ratios) align with
     ``graph.vertices`` and each is finite and non-negative; the message
@@ -193,32 +318,27 @@ def check_weights(graph: ContentionGraph, weights: Sequence[float]) -> None:
                               f"and non-negative, got {r!r}")
 
 
-def partition_sum(graph: ContentionGraph, weights: Sequence[float]
-                  ) -> tuple[Callable[[int], float], float]:
-    """``(Z, Z(full))``: the weighted independent-set sum within a bitmask.
+def partition_sum(graph: ContentionGraph, weights: Sequence[float]) -> float:
+    """``Z``: the weighted sum over every independent set of ``graph``.
 
-    ``Z(mask) = Z(rest) + w_low * Z(rest minus low's neighbours)``,
-    branching on the lowest cell, memoised for this call only.
-    ``weights`` is aligned with ``graph.vertices`` and checked by
-    `check_weights`.  Raises ConfigError when the sum over the whole
-    graph overflows.
+    Each set weighs the product of its members' ``weights``, aligned with
+    ``graph.vertices`` and checked by `check_weights`.  Runs the graph's
+    `ContentionGraph.partition_program`; raises ConfigError when the sum
+    overflows.
     """
     check_weights(graph, weights)
-    nbr = graph.nbr_masks
+    return _partition_sums(graph, weights)[graph.partition_program.roots[0]]
 
-    @cache
-    def z(mask: int) -> float:
-        if not mask:
-            return 1.0
-        low = mask & -mask
-        k = low.bit_length() - 1
-        rest = mask ^ low
-        return z(rest) + weights[k] * z(rest & ~nbr[k])
 
-    z_full = z((1 << len(graph.vertices)) - 1)
-    if not isfinite(z_full):
+def _partition_sums(graph: ContentionGraph, weights: Sequence[float]
+                   ) -> list[float]:
+    """Every value of `ContentionGraph.partition_program` at ``weights``,
+    which are not checked; raises ConfigError when ``Z`` overflows."""
+    program = graph.partition_program
+    values = program.run([1.0], weights)
+    if not isfinite(values[program.roots[0]]):
         raise ConfigError("occupation ratios overflow the partition sum")
-    return z, z_full
+    return values
 
 
 @dataclass(frozen=True)
@@ -295,8 +415,7 @@ def enumerate_state_space(graph: ContentionGraph) -> IndependentSetFamily:
     if n > MAX_CELLS:
         raise BudgetExceededError(
             f"{n} cells exceeds the enumeration budget of {MAX_CELLS}")
-    z, n_states = partition_sum(graph, [1.0] * n)
-    z.cache_clear()
+    n_states = partition_sum(graph, [1.0] * n)
     if n_states > MAX_STATES:
         raise BudgetExceededError(
             f"{int(n_states)} independent sets exceed MAX_STATES={MAX_STATES}")

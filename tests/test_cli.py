@@ -323,6 +323,8 @@ def test_sweep_rho(tmp_path):
     ("--sweep", "payload", "--payload-bytes", "500"),
     ("--sweep", "payload", "--payload-bytes", "1500:500:100"),
     ("--sweep", "payload", "--payload-bytes", "a:b:c"),
+    # 1e11 points: refused by count, before any is built
+    ("--sweep", "payload", "--payload-bytes", "100:100000000000:1"),
     ("--sweep", "rho", "--rho-factors", ""),
     ("--sweep", "rho", "--rho-factors", "1,-2"),
     ("--sweep", "rho", "--rho-factors", "1,nan"),

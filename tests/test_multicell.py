@@ -4,6 +4,8 @@ import gc
 import math
 import random
 import warnings
+import weakref
+from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -222,6 +224,58 @@ def loop_unblocked_fractions(family, pi):
     return tuple(math.fsum(t) for t in terms)
 
 
+def memo_law(graph, beta, rho, cells):
+    """`multicell.evaluate_law` as the memoised recursion its programs
+    unroll: ``Z`` and each ``H_k`` branch on the lowest cell of a mask,
+    in `functools.cache` memos emptied on return; ConfigError where
+    ``Z`` overflows."""
+    nbr = graph.nbr_masks
+
+    @cache
+    def z(mask):
+        if not mask:
+            return 1.0
+        low = mask & -mask
+        k = low.bit_length() - 1
+        rest = mask ^ low
+        return z(rest) + rho[k] * z(rest & ~nbr[k])
+
+    full = (1 << len(graph.vertices)) - 1
+    z_full = z(full)
+    if not math.isfinite(z_full):
+        raise ConfigError("occupation ratios overflow the partition sum")
+    n_by_id = {c.id: c.n_nodes for c in cells}
+    n_nodes = [n_by_id[v] for v in graph.vertices]
+    silent_own = [(1.0 - b) ** (n - 1) for b, n in zip(beta, n_nodes)]
+    silent_cell = [(1.0 - b) ** n for b, n in zip(beta, n_nodes)]
+    # (bit, silence) of each neighbour, in the kernel's ascending order
+    nbr_silence = [[(1 << j, silent_cell[j]) for j in bits(m)] for m in nbr]
+
+    @cache
+    def h(k, mask, flags):
+        # flags are the neighbours of k that the chosen cells block
+        if not mask:
+            silent_nbrs = math.prod(s for b, s in nbr_silence[k]
+                                    if not flags & b)
+            return 1.0 - silent_own[k] * silent_nbrs
+        low = mask & -mask
+        j = low.bit_length() - 1
+        rest = mask ^ low
+        return (h(k, rest, flags)
+                + rho[j] * h(k, rest & ~nbr[j], flags | (nbr[j] & nbr[k])))
+
+    gamma, starved, x = [], [], []
+    for k in range(len(graph.vertices)):
+        others = full & ~(nbr[k] | 1 << k)
+        z_k = z(others)
+        x.append(min(1.0, (1.0 + rho[k]) * z_k / z_full))
+        starved.append(z_k / z_full < multicell.STARVATION_FLOOR)
+        gamma.append(1.0 if starved[-1] else h(k, others, 0) / z_k)
+    z.cache_clear()
+    h.cache_clear()
+    return tuple(gamma), tuple(starved), tuple(x)
+
+
 #: Occupation ratios at the edges of the kernels' arithmetic: products
 #: that vanish, go subnormal, stay exact, or overflow from three factors.
 EDGE_RHO = (0.0, math.ulp(0.0), 1.0, 1e150)
@@ -375,6 +429,18 @@ def law_cases(draw, max_cells: int = 12):
     edges = frozenset((ids[i], ids[j])
                       for (i, j), linked in zip(pairs, links) if linked)
     graph = ContentionGraph(n_cells=n, edges=edges)
+    beta, rho = draw(law_loads(graph))
+    n_nodes = draw(st.lists(st.integers(min_value=1, max_value=10),
+                            min_size=n, max_size=n))
+    cells = tuple(CellSpec(id=v, n_nodes=k)
+                  for v, k in zip(graph.vertices, n_nodes))
+    return graph, beta, rho, cells
+
+
+@st.composite
+def law_loads(draw, graph):
+    """``(beta, rho)`` on ``graph``, drawn as `law_cases` draws them."""
+    n = len(graph.vertices)
     alpha = graph.independence_number((1 << n) - 1)
     exponent = draw(st.floats(min_value=-3.0,
                               max_value=min(150.0, 280.0 / alpha - 1.0)))
@@ -382,11 +448,42 @@ def law_cases(draw, max_cells: int = 12):
         st.floats(min_value=0.1, max_value=10.0), min_size=n, max_size=n)))
     beta = tuple(draw(st.lists(st.floats(min_value=0.0, max_value=0.5),
                                min_size=n, max_size=n)))
-    n_nodes = draw(st.lists(st.integers(min_value=1, max_value=10),
-                            min_size=n, max_size=n))
-    cells = tuple(CellSpec(id=v, n_nodes=k)
-                  for v, k in zip(graph.vertices, n_nodes))
-    return graph, beta, rho, cells
+    return beta, rho
+
+
+@st.composite
+def law_sequences(draw):
+    """A `law_cases` graph and cells, with three loads to evaluate in
+    turn on that one graph object."""
+    graph, beta, rho, cells = draw(law_cases())
+    loads = [(beta, rho), draw(law_loads(graph)), draw(law_loads(graph))]
+    return graph, cells, loads
+
+
+def lattice_sequence(side: int, seed: int):
+    """`shuffled_lattice_case` as a `law_sequences` case: its loads, then
+    the ratios rotated by one cell and the attempt rates reversed."""
+    graph, rho, beta, cells = shuffled_lattice_case(side, seed)
+    return graph, cells, [(beta, rho), (beta[::-1], rho[1:] + rho[:1])]
+
+
+@settings(deadline=None)
+@given(case=law_sequences())
+@example(case=lattice_sequence(5, seed=0))
+# a star whose centre hears three leaves in backoff at once: at the first
+# load the order of their silences shows in the centre's collision
+# probability
+@example(case=(ContentionGraph(n_cells=4, edges=frozenset({(1, 2), (1, 3),
+                                                           (1, 4)})),
+               path_cells(4, n_nodes=3),
+               [((0.05, 0.15, 0.2, 0.3), (1.0,) * 4),
+                ((0.2, 0.15, 0.1, 0.05), (0.5, 2.0, 3.0, 0.25))]))
+def test_law_programs_equal_the_memoised_recursion(case):
+    # every load after the first reruns the programs compiled on the first
+    graph, cells, loads = case
+    for beta, rho in loads:
+        assert (multicell.evaluate_law(graph, beta, rho, cells)
+                == memo_law(graph, beta, rho, cells))
 
 
 @settings(deadline=None)
@@ -524,6 +621,33 @@ def test_law_memos_are_freed_on_return():
     try:
         multicell.evaluate_law(graph, (0.05,) * 25, (1.0,) * 25, cells)
         assert gc.collect() < 1000
+    finally:
+        gc.enable()
+
+
+def test_law_programs_are_compiled_once_per_graph():
+    graph = lattice_graph(4)
+    cells = tuple(CellSpec(id=v, n_nodes=3) for v in graph.vertices)
+    multicell.evaluate_law(graph, (0.05,) * 16, (1.0,) * 16, cells)
+    programs = graph.partition_program, graph.collision_program
+    multicell.evaluate_law(graph, (0.1,) * 16, (2.0,) * 16, cells)
+    assert graph.partition_program is programs[0]
+    assert graph.collision_program is programs[1]
+
+
+def test_law_programs_die_with_their_graph():
+    # the programs hold no reference to the graph nor to themselves, so
+    # dropping the graph frees it at once, without the cyclic collector
+    graph = lattice_graph(5)
+    cells = tuple(CellSpec(id=v, n_nodes=3) for v in graph.vertices)
+    gc.collect()
+    gc.disable()
+    try:
+        multicell.evaluate_law(graph, (0.05,) * 25, (1.0,) * 25, cells)
+        enumerate_state_space(graph)
+        dead = weakref.ref(graph)
+        del graph
+        assert dead() is None
     finally:
         gc.enable()
 
