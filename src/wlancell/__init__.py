@@ -16,7 +16,7 @@ from .assign import (ChannelAssignment, LAState, exhaustive_search,
                      misa, run_lri, utility_theta_bar)
 from .ctmc import SimConfig, SimEstimate, simulate, simulate_replicated
 from .dcf import (MacParams, SingleCellResult, single_cell_fixed_point,
-                  single_cell_throughput, tcp_equivalent_cell)
+                  tcp_equivalent_cell)
 from .errors import BudgetExceededError, ConfigError, ConvergenceError
 from .multicell import (FixedPointSolution, MultiCellProblem, jain_fairness,
                         large_rho_limits, solve_fixed_point,
@@ -57,7 +57,6 @@ __all__ = [
     "simulate",
     "simulate_replicated",
     "single_cell_fixed_point",
-    "single_cell_throughput",
     "solve_fixed_point",
     "stationary_distribution",
     "tcp_equivalent_cell",

@@ -18,7 +18,7 @@ Three assignment strategies are provided:
   keeps a probability row over channels, samples jointly, and reinforces
   its sampled channel proportionally to the global utility.  Converges to
   pure strategies that are Nash equilibria of the induced game; which one
-  depends on the seed and the initial rows.
+  depends on the seed.
 * `misa` -- a one-shot greedy: channel by channel, peel off a maximal
   independent set of the still-unassigned cells; the last channel absorbs
   the remainder.  Always yields a Nash equilibrium of the heavy-load
@@ -49,6 +49,16 @@ _UTILITY_TIE = 1e-12
 
 _ORDER_POLICIES = ("lexicographic", "random")
 
+#: Most steps one `run_lri` call may take: 50 times the default budget.
+#: The utility trace keeps one entry per step.
+MAX_LRI_STEPS = 10_000_000
+
+
+def _check_channel_count(n_channels) -> None:
+    """Raise ConfigError unless ``n_channels`` is an integer of at least 1."""
+    if check_number(n_channels, "n_channels", integer=True) < 1:
+        raise ConfigError("need at least one channel")
+
 
 @dataclass(frozen=True)
 class ChannelAssignment:
@@ -58,9 +68,10 @@ class ChannelAssignment:
     n_channels: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
-        if self.n_channels < 1:
-            raise ConfigError("need at least one channel")
+        object.__setattr__(self, "channels", tuple(
+            int(check_number(c, "channel label", integer=True))
+            for c in self.channels))
+        _check_channel_count(self.n_channels)
         bad = [c for c in self.channels if not 1 <= c <= self.n_channels]
         if bad:
             raise ConfigError(
@@ -121,14 +132,6 @@ class NashResult:
     is_nash: bool
     improving: tuple[tuple[int, int, float], ...]  # (cell, channel, utility)
     utility: float
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without running its ``__post_init__`` checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def utility_theta_bar(physical: ContentionGraph,
@@ -239,22 +242,16 @@ def lri_step(state: LAState, physical: ContentionGraph,
     Samples a joint assignment from the rows, evaluates the shared
     utility, and moves each row toward its sampled channel by ``b * U``.
     A utility outside [0, 1] is rejected: the update would no longer be a
-    convex combination and rows could leave the simplex.  Within [0, 1]
-    the new rows and the sampled channels are valid by construction, so
-    they skip the constructors' checks.
+    convex combination and rows could leave the simplex.
     """
     n, n_channels = state.probs.shape
     rows = state.probs.tolist()
     picks = _picks(rows, rng.random(n).tolist(), n_channels - 1)
-    assignment = _unchecked(ChannelAssignment,
-                            channels=tuple(k + 1 for k in picks),
-                            n_channels=n_channels)
+    assignment = ChannelAssignment(channels=tuple(k + 1 for k in picks),
+                                   n_channels=n_channels)
     u = _check_utility(float(utility(physical, assignment)))
     _reinforce(rows, picks, state.b * u)
-    probs = np.array(rows)
-    probs.setflags(write=False)
-    new_state = _unchecked(LAState, probs=probs, step=state.step + 1,
-                           b=state.b)
+    new_state = LAState(probs=rows, step=state.step + 1, b=state.b)
     return new_state, assignment, u
 
 
@@ -263,38 +260,37 @@ _DRAW_BLOCK = 1024
 
 
 def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
-            init: LAState | None = None, max_steps: int = 200_000,
+            max_steps: int = 200_000,
             convergence_threshold: float = 1e-3, seed: int = 0,
             utility: Callable[[ContentionGraph, Sequence[int]], float] | None = None,
             ) -> LriResult:
     """Run reward-inaction learning until the rows are nearly pure.
 
-    Stops once every cell's largest row entry exceeds
-    ``1 - convergence_threshold``; the assignment is then the rowwise
-    argmax.  If ``max_steps`` elapse first, the best-so-far argmax is
-    returned with ``converged=False``.  The default utility is the
-    heavy-load `utility_theta_bar`, memoised per sampled assignment.
+    Every row starts uniform.  Stops once every cell's largest row entry
+    exceeds ``1 - convergence_threshold``; the assignment is then the
+    rowwise argmax.  If ``max_steps`` (at most `MAX_LRI_STEPS`) elapse
+    first, the best-so-far argmax is returned with ``converged=False``.
+    The default utility is the heavy-load `utility_theta_bar`; any
+    utility is called once per distinct sampled channel tuple and
+    memoised.
 
     Each step is the one `lri_step` takes, on rows kept as Python floats;
     the uniform draws come in blocks, which yields the same stream as one
     ``rng.random(N)`` per step, so the two agree seed for seed.
     """
-    if n_channels < 1:
-        raise ConfigError("need at least one channel")
+    _check_channel_count(n_channels)
     if check_number(max_steps, "max_steps", integer=True) < 0:
         raise ConfigError(f"max_steps must be non-negative, got {max_steps}")
+    if max_steps > MAX_LRI_STEPS:
+        raise ConfigError(
+            f"max_steps must be at most {MAX_LRI_STEPS}, got {max_steps}")
     if not 0.0 < check_number(convergence_threshold,
                               "convergence_threshold") < 1.0:
         raise ConfigError("convergence_threshold must lie in (0, 1), "
                           f"got {convergence_threshold}")
     rng = np.random.default_rng(_check_seed(seed))
     n = len(physical.vertices)
-    if init is None:
-        state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels), b=b)
-    else:
-        state = LAState(probs=init.probs, step=init.step, b=b)
-        if state.probs.shape != (n, n_channels):
-            raise ConfigError("init rows do not match the graph and channels")
+    state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels), b=b)
     base = utility_theta_bar if utility is None else utility
     memo: dict[tuple[int, ...], float] = {}  # by 0-based picks
     rows = state.probs.tolist()
@@ -309,16 +305,14 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
             key = tuple(picks)
             u = memo.get(key)
             if u is None:
-                channels = tuple(k + 1 for k in picks)
-                u = _check_utility(float(base(physical, _unchecked(
-                    ChannelAssignment, channels=channels,
-                    n_channels=n_channels))))
+                u = _check_utility(float(base(
+                    physical, tuple(k + 1 for k in picks))))
                 memo[key] = u
             trace.append(u)
             if _reinforce(rows, picks, b * u) > target:
                 converged = True
                 break
-    final = LAState(probs=rows, step=state.step + len(trace), b=b)
+    final = LAState(probs=rows, step=len(trace), b=b)
     channels = tuple(int(c) + 1 for c in final.probs.argmax(axis=1))
     return LriResult(
         assignment=ChannelAssignment(channels=channels, n_channels=n_channels),
@@ -337,8 +331,7 @@ def misa(physical: ContentionGraph, n_channels: int,
     ``M`` takes whatever remains.  The result is always a Nash equilibrium
     of the heavy-load utility.
     """
-    if n_channels < 1:
-        raise ConfigError("need at least one channel")
+    _check_channel_count(n_channels)
     if order_policy not in _ORDER_POLICIES:
         raise ConfigError(f"order_policy must be one of {_ORDER_POLICIES}")
     rng = (np.random.default_rng(_check_seed(seed))
@@ -362,16 +355,14 @@ def misa(physical: ContentionGraph, n_channels: int,
 
 
 def is_nash_equilibrium(physical: ContentionGraph,
-                        assignment: ChannelAssignment,
-                        utility: Callable[[ContentionGraph, Sequence[int]], float]
-                        | None = None) -> NashResult:
-    """Check all single-cell channel deviations for a utility improvement.
+                        assignment: ChannelAssignment) -> NashResult:
+    """Check all single-cell channel deviations for an improvement of the
+    heavy-load utility `utility_theta_bar`.
 
     A deviation counts as improving only when it beats the current utility
     by more than a tie tolerance, so flat regions still count as equilibria.
     """
-    base = utility_theta_bar if utility is None else utility
-    u0 = base(physical, assignment)
+    u0 = utility_theta_bar(physical, assignment)
     improving = []
     channels = list(assignment.channels)
     for k in range(len(channels)):
@@ -380,7 +371,7 @@ def is_nash_equilibrium(physical: ContentionGraph,
             if ch == original:
                 continue
             channels[k] = ch
-            u = base(physical, tuple(channels))
+            u = utility_theta_bar(physical, tuple(channels))
             if u > u0 + _UTILITY_TIE:
                 improving.append((k + 1, ch, u))
         channels[k] = original
@@ -404,8 +395,7 @@ def exhaustive_search(physical: ContentionGraph, n_channels: int,
     growth strings (see `_branch_and_bound`), which finds the same first
     maximiser while visiting only a small share of the candidates.
     """
-    if n_channels < 1:
-        raise ConfigError("need at least one channel")
+    _check_channel_count(n_channels)
     n = len(physical.vertices)
     total = n_channels ** n
     if total > budget:

@@ -161,6 +161,9 @@ def _state_label(state: frozenset[int]) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.replications < 1:
+        raise ConfigError(
+            f"replications must be at least 1, got {args.replications}")
     parsed = _load_topology(args.input)
     problem = _problem(parsed, args)
     solution = multicell.solve_fixed_point(problem)
@@ -420,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lri-b", type=float, default=0.01,
                    help="learning rate for --method lri")
     p.add_argument("--steps", type=int, default=200_000,
-                   help="step budget for --method lri")
+                   help="step budget for --method lri (at most "
+                        f"{assign_mod.MAX_LRI_STEPS:,})")
     p.add_argument("--threshold", type=float, default=1e-3,
                    help="row purity threshold for LRI convergence")
     p.add_argument("--seed", type=int, default=0,

@@ -13,10 +13,11 @@ a frame queued, so its behaviour is captured by two coupled quantities:
   when at least one of the other ``n - 1`` stations picks the same slot.
 
 The classical decoupling approximation closes these two into a fixed point
-``beta = G(gamma)``, ``gamma = 1 - (1 - beta)**(n-1)``, solved here by damped
-iteration.  Throughput then follows from renewal-reward over slot outcomes
-(idle, success, collision) with frame durations computed from the PHY/MAC
-timing parameters.
+``beta = G(gamma)``, ``gamma = 1 - (1 - beta)**(n-1)``, solved by
+`_damped_iteration`, the one loop of this and the multi-cell fixed point
+(`DAMPING`, `TOL`, at most `MAX_ITER` sweeps).  Throughput then follows
+from renewal-reward over slot outcomes (idle, success, collision) with
+frame durations computed from the PHY/MAC timing parameters.
 
 Defaults target 11 Mb/s DSSS with long preambles: 20 us slots, DIFS 50 us,
 SIFS 10 us, a 192 us PHY preamble+header on every frame, 28-byte MAC
@@ -38,8 +39,9 @@ Two conventions worth calling out:
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .errors import ConfigError, ConvergenceError, check_number
 
@@ -47,13 +49,16 @@ from .errors import ConfigError, ConvergenceError, check_number
 #: equally the size of a bare TCP ACK segment (40 bytes).
 TCP_IP_HEADER_BITS = 320
 
-#: Step size of the damped fixed-point iterations here and in
-#: `wlancell.multicell.solve_fixed_point`: each sweep moves this share of
-#: the way to the new target.
+#: Step size of `_damped_iteration`, the one loop of both fixed points
+#: (here and in `wlancell.multicell.solve_fixed_point`): each sweep moves
+#: this share of the way to the new target.
 DAMPING = 0.5
 
-#: Those iterations stop once every update is smaller than this.
+#: The iteration stops once every update is smaller than this.
 TOL = 1e-10
+
+#: Sweeps the iteration takes before it raises ConvergenceError.
+MAX_ITER = 10_000
 
 #: Largest retry limit the 802.11 MIB allows (dot11LongRetryLimit).
 MAX_RETRY_LIMIT = 255
@@ -95,6 +100,10 @@ class MacParams:
                 continue
             value = check_number(getattr(self, f.name), f.name,
                                  integer=f.type == "int")
+            # the model computes in floats, exact for integers below 2**53
+            if f.type == "int" and value >= 2 ** 53:
+                raise ConfigError(
+                    f"{f.name} must be below 2**53, got {value!r}")
             if f.name in _POSITIVE_FIELDS and value <= 0:
                 raise ConfigError(f"{f.name} must be positive, got {value!r}")
             if value < 0:
@@ -185,43 +194,54 @@ def frame_durations(params: MacParams) -> tuple[float, float]:
     return t_success, t_collision
 
 
-def single_cell_fixed_point(n: int, params: MacParams, *,
-                            max_iter: int = 10_000) -> SingleCellResult:
+def single_cell_fixed_point(n: int, params: MacParams) -> SingleCellResult:
     """Solve the beta/gamma fixed point for ``n`` saturated stations.
 
-    Damped iteration ``gamma <- (1-d)*gamma + d*(1 - (1-G(gamma))**(n-1))``
-    with ``d = DAMPING``, starting from ``gamma = 0``.  Raises
-    ConvergenceError (carrying the residual and the tail of the iterate
-    history) if the update size does not fall below `TOL` within
-    ``max_iter`` sweeps.
+    `_damped_iteration` on the 1-tuple ``(gamma,)`` from ``gamma = 0``,
+    with target ``1 - (1 - G(gamma))**(n-1)``, so a ConvergenceError
+    carries 1-tuples.  ``throughput_pps`` is the cell's standalone
+    throughput, by `_throughput` at the solved ``beta``.
     """
     if n < 1:
         raise ConfigError(f"need at least one station, got n={n}")
     backoffs = mean_backoffs(params)
-    gamma = 0.0
-    history: list[float] = []
-    residual = float("inf")
     # gamma stays in [0, 1] by construction: no per-iteration check
-    for _ in range(max_iter):
-        beta = _attempt_prob(gamma, backoffs)
-        gamma_new = 1.0 - (1.0 - beta) ** (n - 1)
-        gamma_next = (1.0 - DAMPING) * gamma + DAMPING * gamma_new
-        residual = abs(gamma_next - gamma)
-        gamma = gamma_next
-        history.append(gamma)
+    (gamma,), _, _ = _damped_iteration(
+        lambda x: (1.0 - (1.0 - _attempt_prob(x[0], backoffs)) ** (n - 1),),
+        (0.0,), f"single-cell fixed point for n={n}")
+    beta = _attempt_prob(gamma, backoffs)
+    return SingleCellResult(beta=beta, gamma=gamma,
+                            throughput_pps=_throughput(n, params, beta))
+
+
+def _damped_iteration(target, x: tuple[float, ...], what: str
+                      ) -> tuple[tuple[float, ...], int, float]:
+    """Fixed point of ``target`` (a tuple to an iterable of as many
+    floats) by damped iteration from ``x``.
+
+    Each sweep moves every entry `DAMPING` of the way to its target,
+    ``x <- (1 - DAMPING) * x + DAMPING * target(x)``.  Returns ``(x,
+    iterations, residual)`` once the largest update falls below `TOL`;
+    after `MAX_ITER` sweeps raises ConvergenceError naming ``what``, with
+    the last residual and the last ten iterates.
+    """
+    keep = 1.0 - DAMPING
+    tail: deque[tuple[float, ...]] = deque(maxlen=10)
+    for iteration in range(1, MAX_ITER + 1):
+        x_next = tuple([keep * v + DAMPING * t for v, t in zip(x, target(x))])
+        residual = max(map(abs, map(sub, x_next, x)))
+        x = x_next
+        tail.append(x)
         if residual < TOL:
-            beta = _attempt_prob(gamma, backoffs)
-            return SingleCellResult(
-                beta=beta, gamma=gamma,
-                throughput_pps=single_cell_throughput(n, params, beta=beta))
+            return x, iteration, residual
     raise ConvergenceError(
-        f"single-cell fixed point did not converge for n={n}",
-        residual=residual, iterations=max_iter, history=history[-10:])
+        f"{what} did not converge within {MAX_ITER} iterations",
+        residual=residual, iterations=MAX_ITER, history=tail)
 
 
-def single_cell_throughput(n: int, params: MacParams, *,
-                           beta: float | None = None) -> float:
-    """Aggregate saturation throughput of an ``n``-station cell, packets/s.
+def _throughput(n: int, params: MacParams, beta: float) -> float:
+    """Saturation throughput of ``n`` stations at attempt probability
+    ``beta``, packets/s.
 
     Renewal-reward over slot outcomes: a slot is idle with no attempt,
     carries a success with exactly one, and a collision otherwise.  For
@@ -231,8 +251,6 @@ def single_cell_throughput(n: int, params: MacParams, *,
     t_success, t_collision = frame_durations(params)
     if n == 1:
         return 1.0 / t_success
-    if beta is None:
-        beta = single_cell_fixed_point(n, params).beta
     p_tr = 1.0 - (1.0 - beta) ** n
     p_succ = n * beta * (1.0 - beta) ** (n - 1) / p_tr
     mean_slot = ((1.0 - p_tr) * params.slot_time

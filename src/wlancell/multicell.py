@@ -29,7 +29,8 @@ rate, so the network is solved as one fixed point:
    point of a sweep on that graph reruns: bit for bit the memoised
    recursion, since it does the same float operations in its order.
 
-Damped iteration of (1)-(3) converges to the operating point.  The
+Damped iteration of (1)-(3), the single cell's loop
+`wlancell.dcf._damped_iteration`, converges to the operating point.  The
 fraction of time a cell is *not* blocked, ``x_i``, scales its standalone
 throughput into its networked throughput.  It has a closed form in terms
 of two independent-set partition sums (Theorem 1), ``x_i = (1 + rho_i) *
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from . import dcf
-from .errors import BudgetExceededError, ConfigError, ConvergenceError
+from .errors import BudgetExceededError, ConfigError
 from .topology import (MAX_CELLS, CellSpec, ContentionGraph,
                        IndependentSetFamily, _partition_sums, bits,
                        check_weights)
@@ -334,7 +335,7 @@ def cell_throughputs(x: Sequence[float], cells: Sequence[CellSpec],
     second: per cell, per node (of the cell's stations), and alone, from
     one single-cell solve per distinct station count.
     """
-    by_n = {n: dcf.single_cell_throughput(n, mac)
+    by_n = {n: dcf.single_cell_fixed_point(n, mac).throughput_pps
             for n in {c.n_nodes for c in cells}}
     standalone = tuple(by_n[c.n_nodes] for c in cells)
     theta_cell = tuple(xi * s for xi, s in zip(x, standalone))
@@ -371,16 +372,13 @@ def jain_fairness(x: Sequence[float]) -> float:
     return total * total / (len(x) * square_sum)
 
 
-def solve_fixed_point(problem: MultiCellProblem, *,
-                      max_iter: int = 10_000) -> FixedPointSolution:
+def solve_fixed_point(problem: MultiCellProblem) -> FixedPointSolution:
     """Solve the coupled attempt/collision fixed point for a network.
 
-    Iteration on the per-cell attempt probabilities, damped by
-    `wlancell.dcf.DAMPING` and started from the collision-free value.
-    Stops when the largest per-cell update falls below `wlancell.dcf.TOL`;
-    raises ConvergenceError (with residual and the tail of the iterate
-    history) otherwise.  Networks of more than `MAX_CELLS` cells raise
-    BudgetExceededError.
+    `wlancell.dcf._damped_iteration` on the per-cell attempt
+    probabilities from the collision-free value, under the single-cell
+    solver's policy (`wlancell.dcf.DAMPING`, `TOL` and `MAX_ITER`).
+    Networks of more than `MAX_CELLS` cells raise BudgetExceededError.
     """
     if len(problem.cells) > MAX_CELLS:
         raise BudgetExceededError(
@@ -399,29 +397,16 @@ def solve_fixed_point(problem: MultiCellProblem, *,
         return lam, mu_inv, rho
 
     backoffs = dcf.mean_backoffs(mac)
-    beta = (dcf._attempt_prob(0.0, backoffs),) * len(cells)
-    history: list[tuple[float, ...]] = []
-    residual = float("inf")
-    converged_at = None
-    # rho and gamma lie in range by construction: no per-iteration checks
-    for iteration in range(1, max_iter + 1):
+
+    def target(beta: tuple[float, ...]) -> list[float]:
+        # rho and gamma lie in range by construction: no checks
         _, _, rho = rates(beta)
         gamma, _, _ = _evaluate_law(problem.graph, beta, rho, n_nodes)
-        target = tuple(dcf._attempt_prob(g, backoffs) for g in gamma)
-        beta_next = tuple((1.0 - dcf.DAMPING) * b + dcf.DAMPING * t
-                          for b, t in zip(beta, target))
-        residual = max(abs(bn - b) for bn, b in zip(beta_next, beta))
-        beta = beta_next
-        history.append(beta)
-        if residual < dcf.TOL:
-            converged_at = iteration
-            break
-    if converged_at is None:
-        raise ConvergenceError(
-            "multi-cell fixed point did not converge within "
-            f"{max_iter} iterations",
-            residual=residual, iterations=max_iter, history=history[-10:])
+        return [dcf._attempt_prob(g, backoffs) for g in gamma]
 
+    beta, iterations, residual = dcf._damped_iteration(
+        target, (dcf._attempt_prob(0.0, backoffs),) * len(cells),
+        "multi-cell fixed point")
     lam, mu_inv, rho = rates(beta)
     gamma, starved, x = _evaluate_law(problem.graph, beta, rho, n_nodes)
     theta_cell, theta_node, standalone = cell_throughputs(x, cells, mac)
@@ -429,7 +414,7 @@ def solve_fixed_point(problem: MultiCellProblem, *,
         beta=beta, gamma=gamma, lam=lam, mu_inv=mu_inv, rho=rho, x=x,
         theta_cell=theta_cell, theta_node=theta_node,
         standalone=standalone, theta_bar=math.fsum(x),
-        iterations=converged_at, residual=residual, starved=starved)
+        iterations=iterations, residual=residual, starved=starved)
 
 
 def solution_rows(problem: MultiCellProblem,

@@ -37,6 +37,15 @@ def test_channel_assignment_validation_and_classes():
         ChannelAssignment(channels=(0, 1), n_channels=2)
     with pytest.raises(ConfigError):
         ChannelAssignment(channels=(1,), n_channels=0)
+    # labels and counts must be integers, not merely convertible to one
+    for channels, n_channels in [((1.5, 2.9), 2), (("2", True), 2),
+                                 ((1,), 1.5), ((1,), True)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ChannelAssignment(channels=channels, n_channels=n_channels)
+    # numpy integers are integers
+    a = ChannelAssignment(channels=np.array([2, 1]), n_channels=np.int64(2))
+    assert a.channels == (2, 1)
+    assert all(type(c) is int for c in a.channels)
 
 
 def test_la_state_validation():
@@ -393,28 +402,28 @@ def _seeded_utility(seed: int):
 
 
 @settings(deadline=None, max_examples=25)
-@given(init=la_states(),
+@given(n=st.integers(min_value=1, max_value=6),
+       m=st.integers(min_value=1, max_value=4),
+       b=st.floats(0.0, 1.0, exclude_min=True),
        reward=st.one_of(st.floats(0.0, 1.0),
                         st.integers(min_value=0, max_value=2**32 - 1)),
        max_steps=st.sampled_from([1023, 1024, 1025, 2_500]),
        threshold=st.sampled_from([1e-3, 0.2]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(init=LAState(probs=np.full((5, 3), 1 / 3), b=0.001), reward=7,
-         max_steps=1025, threshold=1e-3, seed=0)
-@example(init=LAState(probs=np.full((4, 2), 0.5), b=0.002), reward=8,
-         max_steps=2_500, threshold=1e-3, seed=1)
-def test_run_lri_equals_iterated_lri_step(init, reward, max_steps, threshold,
-                                          seed):
-    """Block draws and list rows follow `lri_step` seed for seed, also
-    across the edges of the draw blocks."""
+@example(n=5, m=3, b=0.001, reward=7, max_steps=1025, threshold=1e-3, seed=0)
+@example(n=4, m=2, b=0.002, reward=8, max_steps=2_500, threshold=1e-3,
+         seed=1)
+def test_run_lri_equals_iterated_lri_step(n, m, b, reward, max_steps,
+                                          threshold, seed):
+    """Block draws and list rows follow `lri_step` seed for seed, from
+    uniform rows, also across the edges of the draw blocks."""
     utility = (_seeded_utility(reward) if isinstance(reward, int)
                else lambda g, a: reward)
-    n, m = init.probs.shape
     graph = ContentionGraph(n_cells=n, edges=frozenset())
-    result = assign.run_lri(graph, m, init.b, init=init, max_steps=max_steps,
+    result = assign.run_lri(graph, m, b, max_steps=max_steps,
                             convergence_threshold=threshold, seed=seed,
                             utility=utility)
-    state, trace = init, []
+    state, trace = LAState(probs=np.full((n, m), 1 / m), b=b), []
     rng = np.random.default_rng(seed)
     for _ in range(max_steps):
         state, _, u = assign.lri_step(state, graph, utility, rng)
@@ -437,30 +446,15 @@ def test_run_lri_step_budget():
     assert result.steps == 5
 
 
-@pytest.mark.parametrize("n_channels", [0, -1])
+@pytest.mark.parametrize("n_channels", [0, -1, 2.5, "2", True])
 def test_searches_need_a_channel(n_channels):
-    with pytest.raises(ConfigError, match="at least one channel"):
-        assign.run_lri(PATH4, n_channels, 0.01)
-    with pytest.raises(ConfigError, match="at least one channel"):
-        assign.exhaustive_search(PATH4, n_channels)
-
-
-def test_run_lri_rejects_mismatched_init():
-    init = LAState(probs=np.full((3, 2), 0.5))
-    with pytest.raises(ConfigError):
-        assign.run_lri(PATH4, 2, 0.01, init=init)
-
-
-def test_run_lri_biased_start_settles_on_an_equilibrium():
-    # rows tilted toward a known 6/7 equilibrium; learning still has to
-    # finish the job and must end on some pure Nash profile
-    init = np.full((7, 2), 0.1)
-    for k, ch in enumerate((1, 1, 2, 2, 1, 1, 2)):
-        init[k, ch - 1] = 0.9
-    result = assign.run_lri(ARB7, 2, 0.01,
-                            init=LAState(probs=init, b=0.01), seed=3)
-    assert result.converged
-    assert assign.is_nash_equilibrium(ARB7, result.assignment).is_nash
+    match = ("at least one channel" if n_channels in (0, -1)
+             else "n_channels must be an integer")
+    for search in (lambda: assign.run_lri(PATH4, n_channels, 0.01),
+                   lambda: assign.misa(PATH4, n_channels),
+                   lambda: assign.exhaustive_search(PATH4, n_channels)):
+        with pytest.raises(ConfigError, match=match):
+            search()
 
 
 def test_fixed_point_utility_ranks_assignments():

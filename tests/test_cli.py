@@ -268,15 +268,19 @@ def test_assign_rejects_a_channel_count_below_one(tmp_path, capsys, method,
     (("assign", "--method", "misa", "--order", "random", "--seed", "-1"),
      "seed"),
     (("simulate", "--horizon", "1", "--seed", "-1"), "seed"),
+    (("simulate", "--horizon", "1", "--replications", "0"), "replications"),
     (("assign", "--method", "lri", "--steps", "-5"), "max_steps"),
+    # path4 converges long before 1e11 steps: refused by the bound, not
+    # by running
+    (("assign", "--method", "lri", "--steps", "100000000000"), "max_steps"),
     (("assign", "--method", "lri", "--threshold", "2"),
      "convergence_threshold"),
     (("assign", "--method", "lri", "--threshold", "0"),
      "convergence_threshold"),
     (("assign", "--method", "lri", "--threshold", "nan"),
      "convergence_threshold"),
-], ids=["lri-seed", "misa-seed", "simulate-seed", "steps", "threshold-2",
-        "threshold-0", "threshold-nan"])
+], ids=["lri-seed", "misa-seed", "simulate-seed", "replications", "steps",
+        "steps-huge", "threshold-2", "threshold-0", "threshold-nan"])
 def test_bad_seeds_and_lri_settings_exit_2(tmp_path, capsys, argv, what):
     assert _run(*argv, "--input", "path4", "--out", str(tmp_path)) == 2
     assert what in capsys.readouterr().err

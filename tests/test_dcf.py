@@ -105,13 +105,8 @@ def test_collision_pressure_grows_with_n():
     (10, 669.8359789032667),
 ])
 def test_throughput_frozen(n, frozen):
-    assert dcf.single_cell_throughput(n, MAC) == pytest.approx(frozen, rel=1e-12)
-
-
-def test_throughput_accepts_presolved_beta():
-    solved = dcf.single_cell_fixed_point(5, MAC)
-    direct = dcf.single_cell_throughput(5, MAC, beta=solved.beta)
-    assert direct == solved.throughput_pps
+    assert dcf.single_cell_fixed_point(n, MAC).throughput_pps == pytest.approx(
+        frozen, rel=1e-12)
 
 
 def test_gamma_independent_of_payload():
@@ -123,17 +118,21 @@ def test_gamma_independent_of_payload():
 def test_longer_payload_means_fewer_packets():
     small = dataclasses.replace(MAC, payload_bits=4000)
     large = dataclasses.replace(MAC, payload_bits=16000)
-    assert (dcf.single_cell_throughput(5, small)
-            > dcf.single_cell_throughput(5, large))
+    assert (dcf.single_cell_fixed_point(5, small).throughput_pps
+            > dcf.single_cell_fixed_point(5, large).throughput_pps)
 
 
-def test_fixed_point_reports_non_convergence():
-    with pytest.raises(ConvergenceError) as excinfo:
-        dcf.single_cell_fixed_point(5, MAC, max_iter=1)
-    err = excinfo.value
-    assert err.iterations == 1
-    assert err.residual > 0
-    assert len(err.history) == 1
+def test_fixed_point_reports_non_convergence(monkeypatch):
+    for max_iter in (1, 12):
+        monkeypatch.setattr(dcf, "MAX_ITER", max_iter)
+        with pytest.raises(ConvergenceError) as excinfo:
+            dcf.single_cell_fixed_point(5, MAC)
+        err = excinfo.value
+        assert err.iterations == max_iter
+        assert err.residual > 0
+        # the last ten iterates at most, each a 1-tuple (gamma,)
+        assert len(err.history) == min(max_iter, 10)
+        assert all(len(x) == 1 and 0.0 < x[0] < 1.0 for x in err.history)
 
 
 def test_fixed_point_rejects_zero_stations():
@@ -198,7 +197,7 @@ def test_largest_backoff_window_keeps_every_cell_transmitting():
     beta = dcf.attempt_prob_G(1.0, mac)
     assert beta >= 2.0**-52
     assert 1.0 - beta < 1.0
-    assert math.isfinite(dcf.single_cell_throughput(5, mac))
+    assert math.isfinite(dcf.single_cell_fixed_point(5, mac).throughput_pps)
 
 
 @pytest.mark.parametrize("field", ["slot_time", "sifs", "phy_header_time",

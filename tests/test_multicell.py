@@ -6,6 +6,7 @@ import random
 import warnings
 import weakref
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -542,7 +543,8 @@ def test_solver_stays_in_the_unit_interval_at_extreme_mac(mac, name,
         # 600 drawn cases converged within 196 iterations or not within
         # 10,000 (cw_min 2 or 3 with many retries); the cap only shortens
         # the second kind
-        solution = multicell.solve_fixed_point(problem, max_iter=1_000)
+        with mock.patch.object(dcf, "MAX_ITER", 1_000):
+            solution = multicell.solve_fixed_point(problem)
     except ConvergenceError:
         return
     assert all(math.isfinite(g) and 0.0 <= g <= 1.0 for g in solution.gamma)
@@ -742,13 +744,12 @@ def test_cell_throughputs_scale_standalone_rates():
     cells = (CellSpec(id=1, n_nodes=5), CellSpec(id=2, n_nodes=1))
     theta_cell, theta_node, standalone = multicell.cell_throughputs(
         (0.5, 0.25), cells, MAC)
-    assert standalone == (dcf.single_cell_throughput(5, MAC),
-                          dcf.single_cell_throughput(1, MAC))
-    assert theta_cell[0] == pytest.approx(
-        0.5 * dcf.single_cell_throughput(5, MAC), rel=1e-12)
+    alone = [dcf.single_cell_fixed_point(n, MAC).throughput_pps
+             for n in (5, 1)]
+    assert standalone == tuple(alone)
+    assert theta_cell[0] == pytest.approx(0.5 * alone[0], rel=1e-12)
     assert theta_node[0] == pytest.approx(theta_cell[0] / 5, rel=1e-12)
-    assert theta_cell[1] == pytest.approx(
-        0.25 * dcf.single_cell_throughput(1, MAC), rel=1e-12)
+    assert theta_cell[1] == pytest.approx(0.25 * alone[1], rel=1e-12)
 
 
 def test_jain_fairness():
@@ -759,12 +760,16 @@ def test_jain_fairness():
         multicell.jain_fairness(())
 
 
-def test_solver_reports_non_convergence(path4_sat):
-    with pytest.raises(ConvergenceError) as excinfo:
-        multicell.solve_fixed_point(path4_sat.problem, max_iter=2)
-    assert excinfo.value.iterations == 2
-    assert excinfo.value.residual > 0
-    assert len(excinfo.value.history) == 2
+def test_solver_reports_non_convergence(path4_sat, monkeypatch):
+    for max_iter in (2, 12):
+        monkeypatch.setattr(dcf, "MAX_ITER", max_iter)
+        with pytest.raises(ConvergenceError) as excinfo:
+            multicell.solve_fixed_point(path4_sat.problem)
+        assert excinfo.value.iterations == max_iter
+        assert excinfo.value.residual > 0
+        # the last ten iterates at most, each a beta per cell
+        assert len(excinfo.value.history) == min(max_iter, 10)
+        assert all(len(beta) == 4 for beta in excinfo.value.history)
 
 
 def test_solution_rows_and_summary(path4_sat):
@@ -772,7 +777,7 @@ def test_solution_rows_and_summary(path4_sat):
     assert len(rows) == 4
     assert all(tuple(r) == multicell.CSV_COLUMNS for r in rows)
     assert [r["id"] for r in rows] == [1, 2, 3, 4]
-    theta_1 = dcf.single_cell_throughput(5, MAC) / 5
+    theta_1 = dcf.single_cell_fixed_point(5, MAC).throughput_pps / 5
     assert rows[0]["x_inf"] == pytest.approx(2 / 3)
     assert rows[0]["theta_node_inf"] == pytest.approx(2 / 3 * theta_1, rel=1e-12)
     summary = multicell.solution_summary(path4_sat.problem,
@@ -791,7 +796,7 @@ def test_tcp_mode_reports_access_point_rates(path4_tcp):
         assert theta_n == pytest.approx(theta_c / 2, rel=1e-12)
     # heavy-load AP rate: share of maximum sets times the standalone rate
     _, mac_eff = multicell.effective_configuration(path4_tcp.problem)
-    ap_alone = dcf.single_cell_throughput(2, mac_eff) / 2
+    ap_alone = dcf.single_cell_fixed_point(2, mac_eff).throughput_pps / 2
     assert rows[0]["theta_node_inf"] == pytest.approx(2 / 3 * ap_alone,
                                                       rel=1e-12)
 
