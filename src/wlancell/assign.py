@@ -28,6 +28,10 @@ Three assignment strategies are provided:
   searched by branch-and-bound: a partial assignment is dropped once
   ``sum over m of alpha(mask_m | unassigned cells)`` cannot beat the best
   total found so far.  Any other utility scores every candidate.
+
+numpy is imported where it is used: in `LAState`, `run_lri` and
+random-order `misa`.  The utilities, lexicographic `misa`,
+`is_nash_equilibrium` and `exhaustive_search` run without loading it.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, product
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BudgetExceededError, ConfigError, check_number
 from .topology import ContentionGraph, bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Utility improvements below this are treated as ties when testing for
 #: Nash equilibria.
@@ -98,6 +103,8 @@ class LAState:
     b: float = 0.01
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         p = np.array(self.probs, dtype=float)
         if p.ndim != 2:
             raise ConfigError("probs must be a 2-D (cells x channels) matrix")
@@ -288,6 +295,8 @@ def run_lri(physical: ContentionGraph, n_channels: int, b: float, *,
                               "convergence_threshold") < 1.0:
         raise ConfigError("convergence_threshold must lie in (0, 1), "
                           f"got {convergence_threshold}")
+    import numpy as np
+
     rng = np.random.default_rng(_check_seed(seed))
     n = len(physical.vertices)
     state = LAState(probs=np.full((n, n_channels), 1.0 / n_channels), b=b)
@@ -334,8 +343,11 @@ def misa(physical: ContentionGraph, n_channels: int,
     _check_channel_count(n_channels)
     if order_policy not in _ORDER_POLICIES:
         raise ConfigError(f"order_policy must be one of {_ORDER_POLICIES}")
-    rng = (np.random.default_rng(_check_seed(seed))
-           if order_policy == "random" else None)
+    rng = None
+    if order_policy == "random":
+        import numpy as np
+
+        rng = np.random.default_rng(_check_seed(seed))
     nbr = physical.nbr_masks
     remaining = (1 << physical.n_cells) - 1
     channels = [n_channels] * physical.n_cells

@@ -17,8 +17,8 @@ Five subcommands, one per workflow:
 
 Topology input is a JSON file (see `wlancell.topology.parse_topology` for
 the schema) or the name of a built-in fixture.  Exit codes: 0 success,
-2 configuration error, 3 solver non-convergence, 4 a cell, state
-(``simulate`` only) or search budget exceeded.  Output files are
+2 configuration error, 3 solver non-convergence, 4 a cell, state or
+event (``simulate`` only) or search budget exceeded.  Output files are
 deterministic for a given configuration and seed.
 """
 

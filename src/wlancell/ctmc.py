@@ -16,7 +16,9 @@ occupations, not individual slots.
 
 Reproducibility: one root seed fans out into independent substreams (one
 for the activation race, one per cell for occupation times), so runs are
-bit-identical for a fixed seed and configuration.
+bit-identical for a fixed seed and configuration.  numpy, for those
+generators, is imported inside `simulate` and `simulate_replicated`, so
+loading this module does not load it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import ConfigError, check_number
+from .errors import BudgetExceededError, ConfigError, check_number
 from .topology import ContentionGraph, bits
 
 _DISTRIBUTIONS = ("exponential", "deterministic")
+
+#: Most events one `simulate` or `simulate_replicated` call may expect,
+#: counted as horizon x runs x (sum of activation + release rates).  That
+#: rate sum bounds the event rate in every state.
+MAX_SIM_EVENTS = 10**9
 
 
 @dataclass(frozen=True)
@@ -82,13 +87,25 @@ def rates_from_solution(solution) -> tuple[tuple[float, ...], tuple[float, ...]]
     return lam, mu
 
 
+def _check_event_budget(lam: Sequence[float], mu: Sequence[float],
+                        horizon: float, runs: int) -> None:
+    """Raise BudgetExceededError if the runs could exceed `MAX_SIM_EVENTS`."""
+    rate = math.fsum(lam) + math.fsum(mu)
+    bound = horizon * runs * rate
+    if bound > MAX_SIM_EVENTS:
+        raise BudgetExceededError(
+            f"{runs} run(s) of {horizon:g} s at up to {rate:.4g} events/s "
+            f"may take {bound:.3g} events, more than {MAX_SIM_EVENTS:,}")
+
+
 def simulate(graph: ContentionGraph, lam: Sequence[float],
              mu: Sequence[float], cfg: SimConfig) -> SimEstimate:
     """Run one trajectory and return time-weighted occupancy estimates.
 
     ``lam`` and ``mu`` are per-cell activation and release *rates* (1/s),
     aligned with ``graph.vertices``.  Raises if the process reaches a state
-    with no possible event before the horizon.
+    with no possible event before the horizon, and BudgetExceededError,
+    before any event, if it may take more than `MAX_SIM_EVENTS` events.
     """
     verts = graph.vertices
     n = len(verts)
@@ -98,6 +115,8 @@ def simulate(graph: ContentionGraph, lam: Sequence[float],
         raise ConfigError("activation rates must be non-negative")
     if any(m <= 0 for m in mu):
         raise ConfigError("release rates must be positive")
+    _check_event_budget(lam, mu, cfg.horizon, 1)
+    import numpy as np
 
     nbr_mask = graph.nbr_masks
     full_mask = (1 << n) - 1
@@ -184,9 +203,13 @@ def simulate_replicated(graph: ContentionGraph, lam: Sequence[float],
 
     Replication seeds are derived deterministically from ``cfg.seed``;
     states never visited by a replication contribute zero occupancy to it.
+    The `MAX_SIM_EVENTS` budget covers all ``n_reps`` runs together.
     """
     if n_reps < 2:
         raise ConfigError("need at least two replications for an SE")
+    _check_event_budget(lam, mu, cfg.horizon, n_reps)
+    import numpy as np
+
     rep_seeds = np.random.SeedSequence(cfg.seed).generate_state(
         n_reps, dtype=np.uint64)
     runs = [simulate(graph, lam, mu, replace(cfg, seed=int(s)))

@@ -200,6 +200,18 @@ def test_simulate_single_run_has_no_standard_errors(tmp_path):
     assert ",nan," in body
 
 
+@pytest.mark.parametrize("horizon, replications", [
+    ("1e6", "1"), ("0.5", "1000000")])
+def test_simulate_past_the_event_budget_exits_4(tmp_path, capsys, horizon,
+                                                replications):
+    # path4's rates sum to about 4e4 per second, so either run may take
+    # more than 1e10 events: refused before the first
+    assert _run("simulate", "--input", "path4", "--out", str(tmp_path),
+                "--horizon", horizon, "--replications", replications) == 4
+    assert "1,000,000,000" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------- assign
 
 def test_assign_misa_json_payload(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from wlancell import ctmc
 from wlancell.ctmc import SimConfig
-from wlancell.errors import ConfigError
+from wlancell.errors import BudgetExceededError, ConfigError
 from wlancell.topology import ContentionGraph
 
 SINGLE = ContentionGraph(n_cells=1, edges=frozenset())
@@ -98,6 +98,20 @@ def test_rate_validation():
         ctmc.simulate(PAIR, (-1.0, 1.0), (1.0, 1.0), cfg)
     with pytest.raises(ConfigError):
         ctmc.simulate(PAIR, (1.0, 1.0), (1.0, 0.0), cfg)
+
+
+def test_event_budget_is_checked_before_the_first_event(monkeypatch):
+    # the rates sum to 4 per second, so the budget of 1e9 events is
+    # 2.5e8 s of one run or 2.5e7 s of ten; a run that reached its first
+    # event would fail on the missing `bits`
+    monkeypatch.setattr(ctmc, "bits", None)
+    with pytest.raises(BudgetExceededError, match="1,000,000,000"):
+        ctmc.simulate(PAIR, (1.0, 1.0), (1.0, 1.0),
+                      SimConfig(horizon=2.6e8))
+    with pytest.raises(BudgetExceededError, match="10 run"):
+        ctmc.simulate_replicated(PAIR, (1.0, 1.0), (1.0, 1.0),
+                                 SimConfig(horizon=2.6e7), 10)
+    ctmc._check_event_budget((1.0, 1.0), (1.0, 1.0), 2.5e7, 10)  # allowed
 
 
 def test_replications_need_at_least_two():

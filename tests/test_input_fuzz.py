@@ -75,6 +75,17 @@ SIMULATE_FLAGS = {
     "--seed": ("-1", "0", "7", str(2**64)),
     "--active-dist": ("exponential", "deterministic"),
 }
+#: (horizon, replications) far past `ctmc.MAX_SIM_EVENTS` on every
+#: fixture, whose saturated rates sum to 4e4 to 1.2e5 per second, while
+#: `SIMULATE_FLAGS` runs need at most 2e5 events.  Each must exit 4 at
+#: once, so the other flags are drawn from valid values.
+OVER_BUDGET = {("1e+06", "1"), ("1e+09", "3"), ("1e+300", "2"),
+               ("0.5", "1000000"), ("0.5", str(10**9))}
+VALID_SIMULATE_FLAGS = {
+    "--warmup": ("0", "0.1", "0.99"),
+    "--seed": ("0", "7", str(2**64)),
+    "--active-dist": ("exponential", "deterministic"),
+}
 LRI_FLAGS = {
     "--lri-b": ("-1", "0", "1e-300", "0.01", "0.5", "1", "1.5", "nan"),
     "--steps": ("-1", "0", "1", "1023", "1024", "2000"),
@@ -120,6 +131,11 @@ def cli_argv(draw) -> list[str]:
         factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1,
                                 max_size=4))
         argv += ["--sweep=rho", f"--rho-factors={','.join(factors)}"]
+    elif command == "simulate" and draw(st.booleans()):
+        horizon, replications = pick(sorted(OVER_BUDGET))
+        argv += [f"--horizon={horizon}", f"--replications={replications}"]
+        argv += [f"{flag}={pick(values)}"
+                 for flag, values in VALID_SIMULATE_FLAGS.items()]
     elif command == "simulate":
         argv += [f"{flag}={pick(values)}"
                  for flag, values in SIMULATE_FLAGS.items()]
@@ -178,12 +194,22 @@ def non_finite_numbers(outdir: Path, single_run: bool):
 # hex7's state {1} is visited by no replication: its pi_se is nan
 @example(argv=["simulate", "--input=hex7", "--horizon=0.5",
                "--replications=3", "--seed=4"])
+# 1e300 simulated seconds: refused before the first event
+@example(argv=["simulate", "--input=grid12", "--horizon=1e+300",
+               "--replications=2", "--warmup=0", "--seed=0",
+               "--active-dist=exponential"])
 def test_cli_exits_cleanly_with_finite_outputs(argv):
     """Every drawn run ends in an exit code, never a traceback, and writes
-    only finite numbers, except standard errors without an estimate."""
+    only finite numbers, except standard errors without an estimate.  A
+    simulation past the event budget exits 4 and writes nothing."""
     single_run = "--replications=1" in argv
+    flags = dict(arg.split("=", 1) for arg in argv[1:])
+    over_budget = (flags.get("--horizon"),
+                   flags.get("--replications")) in OVER_BUDGET
     # known oscillating MAC values would otherwise take 10,000 iterations
     with (tempfile.TemporaryDirectory() as out,
           mock.patch.object(dcf, "MAX_ITER", 300)):
-        assert cli.main([*argv, f"--out={out}"]) in (0, 2, 3, 4)
+        code = cli.main([*argv, f"--out={out}"])
+        assert code in ((4,) if over_budget else (0, 2, 3, 4))
         assert list(non_finite_numbers(Path(out), single_run)) == []
+        assert not (over_budget and any(Path(out).iterdir()))
