@@ -7,8 +7,8 @@ merit for an assignment is the mean per-cell unblocked share
 
     U(c) = (1/N) * sum over channels m of alpha(subgraph of channel m),
 
-a number in [0, 1].  `utility_theta_bar` computes it via memoised
-independence numbers; `infinite_load_profile` exposes the underlying
+a number in [0, 1].  `utility_theta_bar` computes it from the graph's
+memoised maximum sets; `infinite_load_profile` exposes the underlying
 per-cell shares (the two agree by construction of the maximum-independent-
 set statistics, and the tests cross-check them).
 
@@ -150,11 +150,8 @@ def utility_theta_bar(physical: ContentionGraph,
     (each channel's aggregate share tends to its subgraph's independence
     number).
     """
-    channels = tuple(getattr(assignment, "channels", assignment))
-    if len(channels) != len(physical.vertices):
-        raise ConfigError("assignment must cover every cell")
-    total = sum(map(physical.independence_number,
-                    physical.label_masks(channels)))
+    total = sum(physical.maximum_sets(mask)[0]
+                for mask in physical.label_masks(assignment))
     return total / len(physical.vertices)
 
 
@@ -166,11 +163,8 @@ def infinite_load_profile(physical: ContentionGraph,
     Each co-channel subgraph contributes its cells' shares of maximum
     independent sets.  Aligned with ``physical.vertices``.
     """
-    channels = tuple(getattr(assignment, "channels", assignment))
-    if len(channels) != len(physical.vertices):
-        raise ConfigError("assignment must cover every cell")
-    x = [0.0] * len(channels)
-    for mask in physical.label_masks(channels):
+    x = [0.0] * len(physical.vertices)
+    for mask in physical.label_masks(assignment):
         _, eta, eta_i = physical.maximum_set_profile(mask)
         for k in bits(mask):
             x[k] = eta_i[k] / eta
@@ -441,7 +435,7 @@ def _branch_and_bound(physical: ContentionGraph, n_channels: int
     ``alpha(mask_m | unassigned)``, as ``alpha`` is monotone; a subtree
     whose bounds sum to no more than the incumbent's total is pruned.
     """
-    alpha = physical.independence_number
+    maximum_sets = physical.maximum_sets
     n = physical.n_cells
     full = (1 << n) - 1
     masks = [0] * n_channels
@@ -451,7 +445,7 @@ def _branch_and_bound(physical: ContentionGraph, n_channels: int
     def visit(k: int, used: int) -> None:
         nonlocal best
         rest = full ^ ((1 << k) - 1)
-        bound = sum(alpha(mask | rest) for mask in masks)
+        bound = sum(maximum_sets(mask | rest)[0] for mask in masks)
         if bound <= best[1]:
             return
         if k == n:

@@ -189,10 +189,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cells_path = outdir / f"{parsed.name}_sim_cells.csv"
     _write_csv(cells_path, _SIM_CELL_COLUMNS, cell_rows)
 
-    states = sorted(set(estimate.pi_hat) | set(pi),
-                    key=lambda s: (len(s), tuple(sorted(s))))
+    # pi holds every state a run can visit, by size, then lexicographically
     state_rows = [(_state_label(s), estimate.pi_hat.get(s, 0.0),
-                   pi_se.get(s, math.nan), pi.get(s, 0.0)) for s in states]
+                   pi_se.get(s, math.nan), p) for s, p in pi.items()]
     states_path = outdir / f"{parsed.name}_sim_states.csv"
     _write_csv(states_path, _SIM_STATE_COLUMNS, state_rows)
 

@@ -443,7 +443,7 @@ def solution_summary(problem: MultiCellProblem,
                      solution: FixedPointSolution) -> dict:
     """Network-level scalars: total unblocked share, fairness, MIS stats."""
     graph = problem.graph
-    alpha, eta, _ = graph.maximum_set_profile((1 << len(graph.vertices)) - 1)
+    alpha, eta = graph.maximum_sets((1 << len(graph.vertices)) - 1)
     return {
         "theta_bar": solution.theta_bar,
         "jain_fairness": jain_fairness(solution.x),

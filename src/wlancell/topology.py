@@ -16,11 +16,13 @@ The weighted partition sum (`partition_sum`), from which the
 product-form law and the state count follow, runs a program that a
 graph compiles once (`SumProgram`, `ContentionGraph.partition_program`):
 the branching unrolled into multiply-adds, bit for bit the memoised
-recursion, and rerun on every new set of weights.  The size and number
-of the maximum independent sets are memoised per graph.  Those govern
-the heavy-load behaviour: under ever-growing payloads the network spends
-all its time in them, so a cell's long-run share is tied to how many of
-them it belongs to.
+recursion, and rerun on every new set of weights.  One recursion,
+memoised in a plain dict that the graph holds, finds both the size and
+the number of the maximum independent sets
+(`ContentionGraph.maximum_sets`).  Those govern the heavy-load
+behaviour: under ever-growing payloads the network spends all its time
+in them, so a cell's long-run share is tied to how many of them it
+belongs to.
 
 Cells are identified by 1-based ids throughout, and a graph always spans
 cells ``1..n_cells``.  Inside the package a set of cells is a bitmask, bit
@@ -31,11 +33,10 @@ build on it.  Graphs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count
 from math import dist, inf, isfinite
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Sequence)
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, ConfigError, check_number
 
@@ -45,9 +46,13 @@ MAX_CELLS = 25
 #: Most independent sets `enumerate_state_space` builds (BudgetExceededError).
 MAX_STATES = 10_000_000
 
-#: Most entries each of a graph's memos (`ContentionGraph.independence_number`
-#: and `maximum_set_count`) keeps; the least recently used go first.
+#: Most entries a graph's maximum-set memo (`ContentionGraph.maximum_sets`)
+#: keeps; a full memo is emptied before the next entry goes in.
 GRAPH_MEMO_SIZE = 1 << 17
+
+#: Most multiply-adds one compiled `SumProgram` may hold
+#: (BudgetExceededError).
+MAX_PROGRAM_OPS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -152,68 +157,66 @@ class ContentionGraph:
             (k, tuple(bits(nbr[k] & ~flags))) for k, flags in program.leaves))
 
     @cached_property
-    def independence_number(self) -> Callable[[int], int]:
-        """Size of a largest independent set among the cells of a bitmask.
+    def _maximum_set_memo(self) -> dict[int, tuple[int, int]]:
+        return {}
 
-        Branches on whether the lowest cell stays out, or joins and drops
-        its neighbours.  Memoised for the life of the graph, in an LRU
-        memo of at most `GRAPH_MEMO_SIZE` (131,072) entries.
+    def maximum_sets(self, mask: int) -> tuple[int, int]:
+        """``(alpha, eta)``: the size and number of the largest independent
+        sets among the cells of a bitmask.
+
+        Memoised for the life of the graph in a dict of at most
+        `GRAPH_MEMO_SIZE` (131,072) entries, emptied whenever it is full.
         """
-        nbr = self.nbr_masks
-
-        @lru_cache(maxsize=GRAPH_MEMO_SIZE)
-        def alpha(mask: int) -> int:
-            if not mask:
-                return 0
-            low = mask & -mask
-            rest = mask ^ low
-            return max(alpha(rest),
-                       1 + alpha(rest & ~nbr[low.bit_length() - 1]))
-
-        return alpha
-
-    @cached_property
-    def maximum_set_count(self) -> Callable[[int], int]:
-        """Number of largest independent sets among the cells of a bitmask.
-
-        Follows the branches of `independence_number`, and is memoised
-        like it: for the life of the graph, in an LRU memo of at most
-        `GRAPH_MEMO_SIZE` (131,072) entries.
-        """
-        nbr, alpha = self.nbr_masks, self.independence_number
-
-        @lru_cache(maxsize=GRAPH_MEMO_SIZE)
-        def eta(mask: int) -> int:
-            if not mask:
-                return 1
-            low = mask & -mask
-            rest = mask ^ low
-            inside = rest & ~nbr[low.bit_length() - 1]
-            out, into = alpha(rest), 1 + alpha(inside)
-            return ((eta(rest) if out >= into else 0)
-                    + (eta(inside) if into >= out else 0))
-
-        return eta
+        return _maximum_sets(mask, self.nbr_masks, self._maximum_set_memo)
 
     def maximum_set_profile(self, mask: int) -> tuple[int, int, tuple[int, ...]]:
         """``(alpha, eta, eta_i)``: the size and number of the largest
         independent sets within ``mask``, and how many of them contain each
         of ``vertices`` (0 for cells outside ``mask``)."""
-        alpha, eta = self.independence_number, self.maximum_set_count
+        alpha, eta = self.maximum_sets(mask)
         eta_i = [0] * len(self.vertices)
         for k in bits(mask):
-            others = mask & ~(self.nbr_masks[k] | 1 << k)
-            if 1 + alpha(others) == alpha(mask):
-                eta_i[k] = eta(others)
-        return alpha(mask), eta(mask), tuple(eta_i)
+            a, e = self.maximum_sets(mask & ~(self.nbr_masks[k] | 1 << k))
+            if 1 + a == alpha:
+                eta_i[k] = e
+        return alpha, eta, tuple(eta_i)
 
-    def label_masks(self, labels: Sequence[int]) -> Iterable[int]:
-        """Bitmask of the cells sharing each distinct label, in order of
-        first use; ``labels[k]`` is the label of cell ``k + 1``."""
+    def label_masks(self, assignment: Sequence[int]) -> Iterable[int]:
+        """Bitmask of the cells sharing each distinct channel, in order of
+        first use.  ``assignment[k]`` is the channel of cell ``k + 1``, or
+        the assignment has such ``channels`` (e.g. a ChannelAssignment);
+        raises ConfigError unless it names one channel per cell."""
+        channels = tuple(getattr(assignment, "channels", assignment))
+        if len(channels) != self.n_cells:
+            raise ConfigError(f"assignment covers {len(channels)} cells, "
+                              f"graph has {self.n_cells}")
         masks: dict[int, int] = {}
-        for k, label in enumerate(labels):
+        for k, label in enumerate(channels):
             masks[label] = masks.get(label, 0) | 1 << k
         return masks.values()
+
+
+def _maximum_sets(mask: int, nbr: Sequence[int],
+                  memo: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """`ContentionGraph.maximum_sets`: branches on whether the lowest cell
+    of ``mask`` stays out, or joins and drops its neighbours, computing
+    first the branches that ``memo`` lacks; each level drops a cell, so
+    the recursion is at most one deeper than there are cells."""
+    if not mask:
+        return 0, 1
+    found = memo.get(mask)
+    if found is None:
+        low = mask & -mask
+        a_out, e_out = _maximum_sets(mask ^ low, nbr, memo)
+        a_in, e_in = _maximum_sets(mask & ~(low | nbr[low.bit_length() - 1]),
+                                   nbr, memo)
+        a_in += 1
+        found = ((a_out, e_out + e_in) if a_out == a_in
+                 else max((a_out, e_out), (a_in, e_in)))
+        if len(memo) >= GRAPH_MEMO_SIZE:
+            memo.clear()
+        memo[mask] = found
+    return found
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -262,7 +265,9 @@ def _compile_sums(nbr: Sequence[int],
 
     Within a group a sub-sum is keyed ``flags << n | mask``, where
     ``flags`` are the ``tracked`` cells that the chosen cells neighbour.
-    Leaf ``(g, flags)`` ends a sum of group ``g``.
+    Leaf ``(g, flags)`` ends a sum of group ``g``.  Raises
+    BudgetExceededError once the program would hold more than
+    `MAX_PROGRAM_OPS` ops.
     """
     n = len(nbr)
     full = (1 << n) - 1
@@ -296,6 +301,10 @@ def _unroll(key: int, full: int, keep: list[int], hits: list[int],
             within = _unroll(rest & keep[j] | hits[j], full, keep, hits,
                              done, leaves, a, js, b)
             slot = len(a)
+            if slot == MAX_PROGRAM_OPS:
+                raise BudgetExceededError(
+                    f"a sum program needs more than MAX_PROGRAM_OPS="
+                    f"{MAX_PROGRAM_OPS} multiply-adds")
             a.append(without)
             js.append(j)
             b.append(within)
@@ -382,19 +391,12 @@ def build_physical_graph(cells: Sequence[CellSpec], r_cs: float) -> ContentionGr
 
 def logical_graph(physical: ContentionGraph,
                   assignment: Sequence[int]) -> ContentionGraph:
-    """Keep only edges between co-channel cells.
-
-    ``assignment`` is indexed by cell id (entry ``i-1`` for cell ``i``);
-    anything with a ``channels`` attribute (e.g. a ChannelAssignment) is
-    accepted too.
-    """
-    channels = tuple(getattr(assignment, "channels", assignment))
-    if len(channels) != physical.n_cells:
-        raise ConfigError(
-            f"assignment covers {len(channels)} cells, graph has "
-            f"{physical.n_cells}")
-    kept = frozenset((i, j) for i, j in physical.edges
-                     if channels[i - 1] == channels[j - 1])
+    """Keep only edges between co-channel cells; ``assignment`` is read
+    by `ContentionGraph.label_masks`."""
+    nbr = physical.nbr_masks
+    kept = frozenset((k + 1, j + 1)
+                     for mask in physical.label_masks(assignment)
+                     for k in bits(mask) for j in bits(nbr[k] & mask) if k < j)
     return ContentionGraph(n_cells=physical.n_cells, edges=kept)
 
 

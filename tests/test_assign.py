@@ -180,10 +180,10 @@ def test_relabeling_channels_preserves_utility(data):
 
 
 def test_independence_number():
-    assert PATH4.independence_number(0b1111) == 2
-    assert ARB7.independence_number(0b1111111) == 4
-    assert PATH4.independence_number(0b0011) == 1  # cells 1 and 2
-    assert PATH4.independence_number(0) == 0
+    assert PATH4.maximum_sets(0b1111)[0] == 2
+    assert ARB7.maximum_sets(0b1111111)[0] == 4
+    assert PATH4.maximum_sets(0b0011)[0] == 1  # cells 1 and 2
+    assert PATH4.maximum_sets(0) == (0, 1)
 
 
 def test_misa_on_small_graphs():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wlancell import assign, dcf, fixtures, multicell
+from wlancell import assign, dcf, fixtures, multicell, topology
 from wlancell.errors import BudgetExceededError, ConfigError, ConvergenceError
 from wlancell.multicell import MultiCellProblem
 from wlancell.topology import (CellSpec, ContentionGraph, bits,
@@ -394,7 +394,7 @@ def test_heavy_load_routes_answer_beyond_the_enumeration_budget():
     graph = lattice_graph(side)
     with pytest.raises(BudgetExceededError):
         enumerate_state_space(graph)
-    alpha = graph.independence_number((1 << side * side) - 1)
+    alpha = graph.maximum_sets((1 << side * side) - 1)[0]
     assert alpha == 18
     profile = assign.infinite_load_profile(graph, (1,) * side * side)
     assert profile == (0.5,) * side * side
@@ -442,7 +442,7 @@ def law_cases(draw, max_cells: int = 12):
 def law_loads(draw, graph):
     """``(beta, rho)`` on ``graph``, drawn as `law_cases` draws them."""
     n = len(graph.vertices)
-    alpha = graph.independence_number((1 << n) - 1)
+    alpha = graph.maximum_sets((1 << n) - 1)[0]
     exponent = draw(st.floats(min_value=-3.0,
                               max_value=min(150.0, 280.0 / alpha - 1.0)))
     rho = tuple(r * 10.0 ** exponent for r in draw(st.lists(
@@ -652,6 +652,36 @@ def test_law_programs_die_with_their_graph():
         assert dead() is None
     finally:
         gc.enable()
+
+
+def test_heavy_load_memos_die_with_their_graph():
+    # the maximum-set memo is a plain dict of numbers, so dropping the
+    # graph frees it at once and leaves nothing to the cyclic collector
+    graph = shuffled_lattice_case(5, seed=0)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        graph.maximum_set_profile((1 << 25) - 1)
+        assign.utility_theta_bar(graph, [1 + k % 3 for k in range(25)])
+        dead = weakref.ref(graph)
+        del graph
+        assert dead() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_programs_past_the_op_budget_are_refused(monkeypatch):
+    ops = len(lattice_graph(3).partition_program.a)
+    monkeypatch.setattr(topology, "MAX_PROGRAM_OPS", ops)
+    assert len(lattice_graph(3).partition_program.a) == ops
+    monkeypatch.setattr(topology, "MAX_PROGRAM_OPS", ops - 1)
+    graph = lattice_graph(3)
+    with pytest.raises(BudgetExceededError, match="MAX_PROGRAM_OPS"):
+        graph.partition_program
+    with pytest.raises(BudgetExceededError, match="MAX_PROGRAM_OPS"):
+        multicell.evaluate_law(graph, (0.05,) * 9, (1.0,) * 9,
+                               path_cells(9))
 
 
 def test_collision_probability_of_isolated_cell_is_local():

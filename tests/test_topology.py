@@ -187,8 +187,8 @@ def king_grid(side: int) -> ContentionGraph:
 
 
 def fresh_profile(nbr, mask: int) -> tuple[int, int]:
-    """``(alpha, eta)`` of ``mask`` by the graph memos' branching, with a
-    memo of this query's own."""
+    """``(alpha, eta)`` of ``mask`` by `ContentionGraph.maximum_sets`'
+    branching, with a memo of this query's own."""
     memo = {0: (0, 1)}
 
     def profile(m: int) -> tuple[int, int]:
@@ -209,13 +209,13 @@ def test_graph_memos_stay_bounded():
     graph = king_grid(5)
     rng = random.Random(0)
     masks = [rng.getrandbits(25) for _ in range(20_000)]
-    got = [(graph.independence_number(m), graph.maximum_set_count(m))
-           for m in masks]
-    memos = (graph.independence_number, graph.maximum_set_count)
-    assert all(memo.cache_info().maxsize == GRAPH_MEMO_SIZE for memo in memos)
-    # alpha's memo filled up and evicted; both stayed within the bound
-    assert memos[0].cache_info().currsize == GRAPH_MEMO_SIZE
-    assert memos[1].cache_info().currsize <= GRAPH_MEMO_SIZE
+    got, sizes = [], []
+    for m in masks:
+        got.append(graph.maximum_sets(m))
+        sizes.append(len(graph._maximum_set_memo))
+    assert max(sizes) <= GRAPH_MEMO_SIZE
+    # the memo filled up and was emptied at least once
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     assert got == [fresh_profile(graph.nbr_masks, m) for m in masks]
 
 
